@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cayley import index_group, regular_permutation_group
-from .perm import PermGroup, Permutation, tidentity, tmul
-from .structure import is_simple_indexed
+from .numtheory import prime_powers_up_to
+from .perm import PermGroup, Permutation, direct_product, tidentity, tinv, tmul
+from .structure import _quotient_table, is_simple_indexed
 
 ABELIAN_SEARCH_CAP = 50000
 
@@ -48,8 +49,6 @@ def max_abelian_order(group: PermGroup, cap: int = ABELIAN_SEARCH_CAP) -> Abelia
         return AbelianBoundResult(order, list(group.generators), order)
 
     # conjugacy class representatives (orbits under generator conjugation)
-    from .perm import tinv
-
     gen_pairs = [(g, tinv(g)) for g in gens]
     seen = set()
     reps = []
@@ -171,19 +170,8 @@ def _psl2_order(q: int) -> int:
 
 
 def _psl2_order_matches(order: int, q_max: int = 2048):
-    for q in range(4, q_max + 1):
-        # q must be a prime power
-        m = q
-        p = None
-        for d in range(2, q + 1):
-            if m % d == 0:
-                p = d
-                while m % d == 0:
-                    m //= d
-                break
-        if m != 1 or p is None:
-            continue
-        if _psl2_order(q) == order:
+    for q in prime_powers_up_to(q_max):
+        if q >= 4 and _psl2_order(q) == order:
             return q
     return None
 
@@ -282,8 +270,6 @@ def a_prop_checks(
             "holds": a_g <= a_n * a_q,
         }
     if j is not None and h is not None:
-        from .perm import direct_product
-
         product = direct_product([h, j])
         a_h = max_abelian_order(h, cap=cap).a_value
         a_j = max_abelian_order(j, cap=cap).a_value
@@ -299,8 +285,6 @@ def a_prop_checks(
 
 def _quotient_perm_group(g: PermGroup, n: PermGroup) -> PermGroup:
     """G/N in its left regular representation."""
-    from .structure import _quotient_table
-
     indexed = index_group(g)
     normal_indices = sorted(
         indexed.index[p.images] for p in n.elements()

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import factorial
 
+from .numtheory import is_prime, least_primitive_root, prime_power
 from .perm import PermGroup, Permutation, direct_product
 from .projective import projective_group, psl3_2
 from .su42 import su42_permutation_group
@@ -77,17 +79,6 @@ _ATOM_RE = re.compile(
 )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _parse_atom(text: str, position: int) -> GroupSpec:
     match = _ATOM_RE.fullmatch(text)
     if match is None:
@@ -114,7 +105,7 @@ def _parse_atom(text: str, position: int) -> GroupSpec:
         if letter == "F":
             # n = p(p-1)/2 for an odd prime p
             for p in range(3, 2 * n + 2):
-                if p * (p - 1) // 2 == n and _is_prime(p):
+                if p * (p - 1) // 2 == n and is_prime(p):
                     return GroupSpec("Frobenius", (p,))
                 if p * (p - 1) // 2 > n:
                     break
@@ -123,7 +114,7 @@ def _parse_atom(text: str, position: int) -> GroupSpec:
             )
     if match.group("e"):
         p, k = int(match.group("ep")), int(match.group("ek"))
-        if not _is_prime(p):
+        if not is_prime(p):
             raise SpecError("E(%d,%d): %d is not prime" % (p, k, p), position)
         if k < 1:
             raise SpecError("E(%d,%d): exponent must be >= 1" % (p, k), position)
@@ -138,10 +129,34 @@ def _parse_atom(text: str, position: int) -> GroupSpec:
         return GroupSpec("PSL3_2")
     if m != 2:
         raise SpecError("only dimension 2 is supported for %s (and PSL(3,2))" % family, position)
-    if q < 2:
-        raise SpecError("%s(2,%d): q must be a prime power >= 2" % (family, q), position)
+    try:
+        prime_power(q)
+    except ValueError:
+        raise SpecError(
+            "%s(2,%d): q must be a prime power >= 2" % (family, q), position
+        ) from None
     kind = {"PSL": "PSL2", "PGL": "PGL2", "PGAMMAL": "PGammaL2"}[family]
     return GroupSpec(kind, (q,))
+
+
+def split_outside_parens(text: str, separators: str):
+    """Split text at the separator characters that are not inside
+    parentheses (so E(p,k) and PSL(2,q) arguments stay whole)."""
+    parts = []
+    depth = 0
+    current = ""
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        if ch in separators and depth == 0:
+            parts.append(current)
+            current = ""
+        else:
+            current += ch
+    parts.append(current)
+    return parts
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -151,22 +166,7 @@ def parse_spec(text: str) -> GroupSpec:
         raise SpecError("empty group spec", 0)
     atoms = []
     position = 0
-    # split on 'x' separators that are not inside parentheses
-    parts = []
-    depth = 0
-    current = ""
-    for ch in stripped:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch in "xX" and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    parts.append(current)
-    for part in parts:
+    for part in split_outside_parens(stripped, "xX"):
         if not part:
             raise SpecError("empty factor in product", position)
         atoms.append(_parse_atom(part, position))
@@ -215,29 +215,11 @@ def _dihedral(order: int) -> PermGroup:
 
 
 def _frobenius(p: int) -> PermGroup:
-    root = _smallest_primitive_root(p)
+    root = least_primitive_root(p)
     multiplier = root * root % p  # order (p-1)/2
     translation = Permutation([(t + 1) % p for t in range(p)])
     scaling = Permutation([t * multiplier % p for t in range(p)])
     return PermGroup([translation, scaling], degree=p)
-
-
-def _smallest_primitive_root(p: int) -> int:
-    factors = []
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    for r in range(2, p):
-        if all(pow(r, (p - 1) // f, p) != 1 for f in factors):
-            return r
-    raise ValueError("no primitive root mod %d" % p)
 
 
 def _elem_abelian(p: int, k: int) -> PermGroup:
@@ -249,15 +231,9 @@ def atom_order(spec: GroupSpec) -> int:
     if k == "Cyclic":
         return spec.params[0]
     if k == "Sym":
-        out = 1
-        for i in range(2, spec.params[0] + 1):
-            out *= i
-        return out
+        return factorial(spec.params[0])
     if k == "Alt":
-        out = 1
-        for i in range(2, spec.params[0] + 1):
-            out *= i
-        return max(out // 2, 1)
+        return max(factorial(spec.params[0]) // 2, 1)
     if k in ("Dihedral",):
         return spec.params[0]
     if k == "Frobenius":
@@ -274,8 +250,7 @@ def atom_order(spec: GroupSpec) -> int:
         return q * (q * q - 1)
     if k == "PGammaL2":
         q = spec.params[0]
-        p, e = _prime_power_of(q)
-        return q * (q * q - 1) * e
+        return q * (q * q - 1) * prime_power(q)[1]
     if k == "PSL3_2":
         return 168
     if k == "PSU4_2":
@@ -286,19 +261,6 @@ def atom_order(spec: GroupSpec) -> int:
             out *= atom_order(f)
         return out
     raise SpecError("unknown spec kind %r" % k)
-
-
-def _prime_power_of(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            if q != 1:
-                raise SpecError("%d is not a prime power" % q)
-            return p, e
-    raise SpecError("%d is not a prime power" % q)
 
 
 def build_group(spec: GroupSpec) -> PermGroup:

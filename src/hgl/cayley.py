@@ -10,15 +10,45 @@ without an n x n table in memory.
 
 from __future__ import annotations
 
-from math import lcm
-
-from .perm import PermGroup, Permutation, tidentity, tinv, tmul
+from .perm import PermGroup, Permutation, tidentity, tinv, tmul, tuple_order
 
 DENSE_TABLE_MAX = 1024
 INDEX_CAP = 10**5
 
 
-class CayleyIndexedGroup:
+class _IndexedGroup:
+    """Operations shared by the indexed groups: elements are 0..n-1 with
+    identity 0, and subclasses supply n, inverse, mult and element_orders."""
+
+    def inv(self, i: int) -> int:
+        return self.inverse[i]
+
+    def conj(self, g: int, x: int) -> int:
+        """g x g^-1."""
+        return self.mult(self.mult(g, x), self.inverse[g])
+
+    def element_order(self, i: int) -> int:
+        return self.element_orders()[i]
+
+    def subgroup_indices(self, gens):
+        """Closure of a set of element indices, as a sorted list."""
+        seen = {0}
+        queue = [0]
+        gens = list(gens)
+        while queue:
+            current = queue.pop()
+            for g in gens:
+                product = self.mult(current, g)
+                if product not in seen:
+                    seen.add(product)
+                    queue.append(product)
+        return sorted(seen)
+
+    def __len__(self):
+        return self.n
+
+
+class CayleyIndexedGroup(_IndexedGroup):
     """A finite group with elements canonically indexed 0..n-1."""
 
     def __init__(self, source: PermGroup, cap: int = INDEX_CAP):
@@ -42,35 +72,9 @@ class CayleyIndexedGroup:
             return self._table[i][j]
         return self.index[tmul(self.elements[i], self.elements[j])]
 
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
-
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mult(self.mult(g, x), self.inverse[g])
-
-    def element_order(self, i: int) -> int:
-        return self.element_orders()[i]
-
     def element_orders(self):
         if self._orders is None:
-            orders = []
-            for p in self.elements:
-                seen = [False] * len(p)
-                result = 1
-                for start in range(len(p)):
-                    if seen[start]:
-                        continue
-                    length = 1
-                    seen[start] = True
-                    point = p[start]
-                    while point != start:
-                        seen[point] = True
-                        length += 1
-                        point = p[point]
-                    result = lcm(result, length)
-                orders.append(result)
-            self._orders = orders
+            self._orders = [tuple_order(p) for p in self.elements]
         return self._orders
 
     def left_translation(self, g: int):
@@ -81,27 +85,8 @@ class CayleyIndexedGroup:
         index = self.index
         return tuple(index[tmul(pg, q)] for q in self.elements)
 
-    def subgroup_indices(self, gens):
-        """Closure of a set of element indices, as a sorted list."""
-        seen = {0}
-        out = [0]
-        queue = [0]
-        gens = list(gens)
-        while queue:
-            current = queue.pop()
-            for g in gens:
-                product = self.mult(current, g)
-                if product not in seen:
-                    seen.add(product)
-                    out.append(product)
-                    queue.append(product)
-        return sorted(seen)
-
     def generator_indices(self):
         return [self.index[g.images] for g in self.source.generators]
-
-    def __len__(self):
-        return self.n
 
     def __repr__(self):
         return "CayleyIndexedGroup(order=%d, degree=%d)" % (self.n, self.source.degree)
@@ -111,7 +96,7 @@ def index_group(group: PermGroup, cap: int = INDEX_CAP) -> CayleyIndexedGroup:
     return CayleyIndexedGroup(group, cap=cap)
 
 
-class TableGroup:
+class TableGroup(_IndexedGroup):
     """A group given by a raw multiplication table (identity must be index 0).
 
     Used for quotients and subgroups extracted at the Cayley level, where no
@@ -137,12 +122,6 @@ class TableGroup:
     def mult(self, i, j):
         return self._table[i][j]
 
-    def inv(self, i):
-        return self.inverse[i]
-
-    def conj(self, g, x):
-        return self.mult(self.mult(g, x), self.inverse[g])
-
     def element_orders(self):
         if self._orders is None:
             orders = [1] * self.n
@@ -155,31 +134,12 @@ class TableGroup:
             self._orders = orders
         return self._orders
 
-    def element_order(self, i):
-        return self.element_orders()[i]
-
-    def subgroup_indices(self, gens):
-        seen = {0}
-        queue = [0]
-        gens = list(gens)
-        while queue:
-            current = queue.pop()
-            for g in gens:
-                product = self.mult(current, g)
-                if product not in seen:
-                    seen.add(product)
-                    queue.append(product)
-        return sorted(seen)
-
-    def __len__(self):
-        return self.n
-
 
 def regular_permutation_group(group) -> PermGroup:
     """The left regular representation of an indexed group, on 0..n-1."""
     gens = []
     identity = tidentity(group.n)
-    for g in _small_generating_set(group):
+    for g in greedy_generating_set(group)[0]:
         images = tuple(group.mult(g, t) for t in range(group.n))
         if images != identity:
             gens.append(Permutation(images))
@@ -188,16 +148,20 @@ def regular_permutation_group(group) -> PermGroup:
     return PermGroup(gens, degree=group.n)
 
 
-def _small_generating_set(group):
-    """Greedy generating set: scan indices, keep those that enlarge the
-    generated subgroup."""
+def greedy_generating_set(group, candidates=None):
+    """Scan the candidate indices (default 1..n-1) in order and keep each one
+    outside the subgroup generated so far, until that is the whole group.
+
+    Returns (chosen indices, the sorted subgroup they generate)."""
     chosen = []
-    generated = {0}
-    for i in range(1, group.n):
-        if i in generated:
+    generated = [0]
+    seen = {0}
+    for i in range(1, group.n) if candidates is None else candidates:
+        if i in seen:
             continue
         chosen.append(i)
-        generated = set(group.subgroup_indices(chosen))
+        generated = group.subgroup_indices(chosen)
+        seen = set(generated)
         if len(generated) == group.n:
             break
-    return chosen
+    return chosen, generated

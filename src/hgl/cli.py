@@ -7,7 +7,8 @@ byte-identical; human-readable logs and wall time go to stderr.  Exit codes:
 
 Results are cached as content-addressed JSON files keyed by (command,
 canonical inputs, tool version) under --cache-dir or $HGL_CACHE_DIR; entries
-written by other tool versions are ignored.
+written by other tool versions are ignored, and unreadable entries are misses
+(with a warning on stderr).  Entries are written whole or not at all.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 
 from . import __version__
 from .bounds import check_a_ineq, max_abelian_order
-from .catalog import SpecError, build_group, known_aut_group, parse_spec
+from .catalog import SpecError, build_group, known_aut_group, parse_spec, split_outside_parens
 from .constructions import (
     an_gen_embedding,
     sol_insol_verify,
@@ -38,7 +39,7 @@ from .hgsenum import (
     find_complement,
 )
 from .holomorph import RegularEmbedding, hol_context, lambda_embedding
-from .isoaut import are_isomorphic
+from .isoaut import are_isomorphic, find_isomorphic_subgroup
 from .lietables import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -85,8 +86,18 @@ class Cache:
         path = os.path.join(self.directory, key + ".json")
         if not os.path.exists(path):
             return None
-        with open(path) as handle:
-            record = json.load(handle)
+        try:
+            with open(path) as handle:
+                record = json.load(handle)
+        except (OSError, ValueError):  # unreadable, not text, or truncated JSON
+            record = None
+        if not (
+            isinstance(record, dict)
+            and isinstance(record.get("ok"), bool)
+            and isinstance(record.get("document"), str)
+        ):
+            print("warning: ignoring unreadable cache entry %s" % path, file=sys.stderr)
+            return None
         if record.get("version") != __version__:
             return None
         return record
@@ -95,8 +106,10 @@ class Cache:
         if not self.directory:
             return
         path = os.path.join(self.directory, key + ".json")
-        with open(path, "w") as handle:
+        partial = "%s.%d.tmp" % (path, os.getpid())
+        with open(partial, "w") as handle:
             json.dump(record, handle, sort_keys=True)
+        os.replace(partial, path)
 
 
 def _spec_arg(text: str) -> str:
@@ -114,27 +127,9 @@ def _cmd_count_hgs(args):
     return result.as_dict(), ok, result.complete
 
 
-def _split_spec_list(text: str):
-    """Split a comma-separated spec list without breaking E(p,k) arguments."""
-    parts = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    parts.append(current)
-    return [p.strip() for p in parts if p.strip()]
-
-
 def _cmd_enumerate_regular(args):
-    candidates = _split_spec_list(args.candidates or "")
+    parts = split_outside_parens(args.candidates or "", ",")
+    candidates = [p.strip() for p in parts if p.strip()]
     records = enumerate_regular_subgroups(
         args.g, budget=args.budget, iso_candidates=candidates
     )
@@ -253,47 +248,10 @@ def _resolve_h(group: PermGroup, text: str) -> PermGroup:
     if text.startswith("stab:"):
         return group.point_stabilizer(int(text.split(":", 1)[1]))
     target = build_group(text)
-    found = _find_isomorphic_subgroup(group, target)
+    found = find_isomorphic_subgroup(group, target)
     if found is None:
         raise SpecError("no subgroup of %s isomorphic to %s found" % (group, text))
     return found
-
-
-def _find_isomorphic_subgroup(group: PermGroup, target: PermGroup):
-    """Deterministic search for a subgroup isomorphic to the target, over
-    pairs of elements (desk scale; 2-generated targets only)."""
-    order = target.order()
-    if group.order() % order:
-        return None
-    elements = group.elements(cap=10**4)
-    target_orders = sorted({g.order() for g in target.elements(cap=10**4)})
-    from .perm import tidentity, tmul
-
-    def closure_capped(gens):
-        identity = tidentity(group.degree)
-        seen = {identity}
-        queue = [identity]
-        while queue:
-            current = queue.pop()
-            for g in gens:
-                product = tmul(current, g)
-                if product not in seen:
-                    if len(seen) + 1 > order:
-                        return None
-                    seen.add(product)
-                    queue.append(product)
-        return seen
-
-    firsts = [x for x in elements if x.order() == target_orders[-1]]
-    seconds = [x for x in elements if x.order() in target_orders and not x.is_identity()]
-    for u in firsts:
-        for v in seconds:
-            closure = closure_capped([u.images, v.images])
-            if closure is not None and len(closure) == order:
-                candidate = PermGroup([u, v], degree=group.degree)
-                if are_isomorphic(candidate, target) is not None:
-                    return candidate
-    return None
 
 
 def _resolve_j(group: PermGroup, h: PermGroup, text: str, budget: int):
@@ -399,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=os.environ.get("HGL_CACHE_DIR"))
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="search node budget (exhaustion exits 3)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism budget (current implementation is serial)")
     parser.add_argument("--seed", type=int, default=0)
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="as_json", action="store_true", default=True)
@@ -479,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inputs_of(args) -> dict:
-    skip = {"handler", "command", "cache_dir", "as_json", "threads"}
+    skip = {"handler", "command", "cache_dir", "as_json"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -496,9 +452,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SpecError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     cache = Cache(args.cache_dir)
     inputs = _inputs_of(args)

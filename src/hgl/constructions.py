@@ -18,15 +18,14 @@ from dataclasses import dataclass
 
 from .catalog import build_group
 from .hgsenum import ComplementaryPair
-from .holomorph import HolContext, RegularEmbedding, hol_context
-from .isoaut import are_isomorphic
+from .holomorph import HolContext, RegularEmbedding, hol_context, homomorphism_map
+from .isoaut import are_isomorphic, find_isomorphic_subgroup
 from .perm import (
     PermGroup,
     Permutation,
     direct_product,
     sylow_subgroup,
     tidentity,
-    tmul,
 )
 from .projective import projective_group, psl3_2
 from .structure import structure_report
@@ -49,41 +48,14 @@ class FpfPair:
     def __init__(self, gamma: PermGroup, target_ctx: HolContext, images1, images2):
         self.gamma = gamma
         self.ctx = target_ctx
-        self.map1 = _hom_full_map(gamma, target_ctx.group, images1)
-        self.map2 = _hom_full_map(gamma, target_ctx.group, images2)
+        self.map1 = homomorphism_map(gamma, images1, target_ctx.group.mult, 0)
+        self.map2 = homomorphism_map(gamma, images2, target_ctx.group.mult, 0)
         identity = tidentity(gamma.degree)
         for element, image in self.map1.items():
             if element != identity and image == self.map2[element]:
                 raise ValueError("pair is not fixed-point free")
         self.images1 = list(images1)
         self.images2 = list(images2)
-
-
-def _hom_full_map(source: PermGroup, target_indexed, gen_images):
-    """Full map of a homomorphism source -> target given on generators,
-    verified on every Cayley edge."""
-    gen_images = list(gen_images)
-    if len(gen_images) != len(source.generators):
-        raise ValueError("need one image per generator")
-    identity = tidentity(source.degree)
-    mapping = {identity: 0}
-    queue = [identity]
-    gens = [(g.images, image) for g, image in zip(source.generators, gen_images)]
-    while queue:
-        current = queue.pop(0)
-        image = mapping[current]
-        for gen_perm, gen_image in gens:
-            product = tmul(current, gen_perm)
-            product_image = target_indexed.mult(image, gen_image)
-            known = mapping.get(product)
-            if known is None:
-                mapping[product] = product_image
-                queue.append(product)
-            elif known != product_image:
-                raise ValueError("generator images do not define a homomorphism")
-    if len(mapping) != source.order():
-        raise ValueError("generator images do not define a homomorphism")
-    return mapping
 
 
 def untangle_embedding(pair: ComplementaryPair, ctx: HolContext | None = None) -> RegularEmbedding:
@@ -258,7 +230,7 @@ def guralnick_case_builder(case: str, params=None) -> GuralnickCase:
         )
     if case == "c":
         g = projective_group("PSL2", 11)
-        h = _a5_in_psl2_11(g)
+        h = find_isomorphic_subgroup(g, build_group("A5"))
         j = sylow_subgroup(g, 11)
         pair = ComplementaryPair(g, h, j)
         if not pair.verify():
@@ -280,39 +252,6 @@ def guralnick_case_builder(case: str, params=None) -> GuralnickCase:
             raise AssertionError("unitary pair failed verification")
         return GuralnickCase("e", "PSU(4,2) over a plane stabilizer, index 27", pair)
     raise ValueError("unknown case %r" % case)
-
-
-def _a5_in_psl2_11(g: PermGroup) -> PermGroup:
-    """First A5 subgroup of PSL2(11) by deterministic search over (involution,
-    order-5) generator pairs."""
-    elements = g.elements(cap=10**4)
-    involutions = [x for x in elements if x.order() == 2]
-    order5 = [x for x in elements if x.order() == 5]
-    for u in involutions:
-        for v in order5:
-            closure = _closure_capped([u.images, v.images], 61, g.degree)
-            if closure is not None and len(closure) == 60:
-                h = PermGroup([u, v], degree=g.degree)
-                if are_isomorphic(h, build_group("A5")) is None:
-                    raise AssertionError("order-60 subgroup of PSL2(11) is not A5")
-                return h
-    raise RuntimeError("no A5 subgroup found (impossible)")
-
-
-def _closure_capped(gens, cap, degree):
-    identity = tidentity(degree)
-    seen = {identity}
-    queue = [identity]
-    while queue:
-        current = queue.pop()
-        for g in gens:
-            product = tmul(current, g)
-            if product not in seen:
-                if len(seen) + 1 > cap:
-                    return None
-                seen.add(product)
-                queue.append(product)
-    return seen
 
 
 # -- the three showcase cases ----------------------------------------------------

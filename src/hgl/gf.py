@@ -9,39 +9,16 @@ x^2 + x + 1 (w^2 = w + 1).  Multiplication runs on exp/log tables.
 
 from __future__ import annotations
 
+from .numtheory import is_prime, least_primitive_root, prime_factors
+
 FIELD_SIZE_CAP = 2**16
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class GF:
     """GF(p^e) with elements encoded as integers 0..p^e-1."""
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError("%d is not prime" % p)
         if e < 1:
             raise ValueError("exponent must be >= 1")
@@ -96,23 +73,16 @@ class GF:
         scanning constant-first coefficient tuples in ascending integer order."""
         p, e, q = self.p, self.e, self.q
         if e == 1:
-            r = self._least_primitive_root()
+            r = least_primitive_root(p)
             return [(-r) % p]  # x - r
         group_order = q - 1
-        factors = _prime_factors(group_order)
+        factors = prime_factors(group_order)
         for low in range(p**e):
-            coeffs = self._digits_of(low, e)
+            coeffs = self._digits(low)
             if not self._x_has_full_order(coeffs, group_order, factors):
                 continue
             return coeffs
         raise RuntimeError("no primitive polynomial found (impossible)")
-
-    def _digits_of(self, value, length):
-        out = []
-        for _ in range(length):
-            out.append(value % self.p)
-            value //= self.p
-        return out
 
     def _x_has_full_order(self, modulus_coeffs, group_order, factors):
         """Check that x mod (x^e + modulus tail) has multiplicative order q-1.
@@ -134,22 +104,12 @@ class GF:
             n >>= 1
         return result
 
-    def _least_primitive_root(self):
-        p = self.p
-        if p == 2:
-            return 1
-        factors = _prime_factors(p - 1)
-        for r in range(2, p):
-            if all(pow(r, (p - 1) // f, p) != 1 for f in factors):
-                return r
-        raise RuntimeError("no primitive root (impossible)")
-
     def _build_log_tables(self):
         q = self.q
         self.exp = [1] * (q - 1)
         self.log = [0] * q
         value = 1
-        generator = self.p if self.e > 1 else self._least_primitive_root()
+        generator = self.x()
         for k in range(q - 1):
             self.exp[k] = value
             self.log[value] = k
@@ -215,7 +175,7 @@ class GF:
 
     def x(self) -> int:
         """The residue of x (a multiplicative generator for e > 1)."""
-        return self.p if self.e > 1 else self._least_primitive_root()
+        return self.p if self.e > 1 else least_primitive_root(self.p)
 
     def element_str(self, a: int) -> str:
         """Short string form: "0","1","w","w2",... ("w" is the residue of x)."""

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import build_group
-from .cayley import index_group
+from .cayley import greedy_generating_set, index_group
 from .holomorph import HolContext, RegularEmbedding, hol_context
 from .isoaut import are_isomorphic, automorphism_group, automorphisms
 from .perm import (
     PermGroup,
     Permutation,
     is_uniform_cycle_tuple,
+    reduce_generators,
     tidentity,
     tinv,
     tmul,
@@ -72,20 +73,6 @@ class RegularSubgroupRecord:
         return PermGroup(gens, degree=len(self.elements[0]))
 
 
-def hol_element_perms(ctx: HolContext, aut_maps):
-    """Action permutations of all of Hol(G), streamed one tuple at a time."""
-    group = ctx.group
-    n = ctx.n
-    for alpha in aut_maps:
-        for g in range(n):
-            if group._table is not None:
-                row = group._table[g]
-                perm = tuple(row[alpha[t]] for t in range(n))
-            else:
-                perm = tuple(group.mult(g, alpha[t]) for t in range(n))
-            yield perm
-
-
 def semiregular_element_buckets(ctx: HolContext, aut_maps):
     """Bucket the semiregular elements of Hol(G) by their image of 0.
 
@@ -94,9 +81,11 @@ def semiregular_element_buckets(ctx: HolContext, aut_maps):
     fixed-point-free or trivial.
     """
     buckets = {x: [] for x in range(1, ctx.n)}
-    for perm in hol_element_perms(ctx, aut_maps):
-        if perm[0] != 0 and is_uniform_cycle_tuple(perm):
-            buckets[perm[0]].append(perm)
+    for alpha in aut_maps:
+        for g in range(ctx.n):
+            perm = ctx.action_perm(g, alpha)
+            if perm[0] != 0 and is_uniform_cycle_tuple(perm):
+                buckets[perm[0]].append(perm)
     for x in buckets:
         buckets[x].sort()
     return buckets
@@ -242,11 +231,7 @@ def _regular_cyclic_subgroups(ctx: HolContext, aut_maps):
                     break
             if length != n:
                 continue
-            if group._table is not None:
-                row = group._table[g]
-                perm = tuple(row[alpha[t]] for t in range(n))
-            else:
-                perm = tuple(group.mult(g, alpha[t]) for t in range(n))
+            perm = ctx.action_perm(g, alpha)
             elements = [tidentity(n)]
             power = perm
             while power != elements[0]:
@@ -319,7 +304,7 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET, order_cap: int = ENUM_ORDE
                 matching.append(elements)
 
     # expand each matching subgroup into all regular embeddings gamma -> N
-    gamma_gens = _greedy_gens(gamma_indexed)
+    gamma_gens, _ = greedy_generating_set(gamma_indexed)
     aut_gamma_maps = automorphisms(gamma_indexed)
     embeddings = set()
     for elements in matching:
@@ -380,27 +365,8 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET, order_cap: int = ENUM_ORDE
     )
 
 
-def count_crosscheck_formula(gamma, g, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """|Aut(gamma)| * #{regular subgroups of Hol(G) isomorphic to gamma} /
-    |Aut(G)|, flagged by count_hgs when it disagrees with the orbit count."""
-    return count_hgs(gamma, g, budget=budget).crosscheck
-
-
 def _is_cyclic(indexed) -> bool:
     return max(indexed.element_orders()) == indexed.n
-
-
-def _greedy_gens(indexed):
-    chosen = []
-    generated = {0}
-    for i in range(1, indexed.n):
-        if i in generated:
-            continue
-        chosen.append(i)
-        generated = set(indexed.subgroup_indices(chosen))
-        if len(generated) == indexed.n:
-            break
-    return chosen
 
 
 @dataclass
@@ -449,19 +415,8 @@ def delta_p(embedding: RegularEmbedding, p: int) -> HallWitness:
         if ctx.act(image, 0) in hp
     }
     is_subgroup = all(tmul(a, b) in delta for a in delta for b in delta)
-    non_identity = [d for d in sorted(delta) if d != tidentity(len(d))]
-    gens = [Permutation(d) for d in non_identity]
-    if gens:
-        reduced = []
-        current = None
-        for candidate in gens:
-            if current is not None and candidate in current:
-                continue
-            reduced.append(candidate)
-            current = PermGroup(reduced, degree=candidate.degree)
-            if current.order() == len(delta):
-                break
-        gens = reduced
+    non_identity = [Permutation(d) for d in sorted(delta) if d != tidentity(len(d))]
+    gens = reduce_generators(non_identity, len(delta))
     return HallWitness(
         p=p,
         delta_size=len(delta),
@@ -532,23 +487,10 @@ def find_complement(
         return None
     elements = subgroups[0]
     j_gens = [Permutation(pullback[p]) for p in elements if p != tidentity(m)]
-    j = PermGroup(_reduce(j_gens, m), degree=group.degree)
+    j = PermGroup(reduce_generators(j_gens, m), degree=group.degree)
     if j.order() != m:
         raise AssertionError("pullback complement has wrong order")
     return j
-
-
-def _reduce(gens, target_order):
-    chosen = []
-    current = None
-    for g in gens:
-        if current is not None and g in current:
-            continue
-        chosen.append(g)
-        current = PermGroup(chosen, degree=g.degree)
-        if current.order() == target_order:
-            break
-    return chosen
 
 
 def _coset_action(group: PermGroup, h: PermGroup, m: int):

@@ -81,11 +81,7 @@ class HolContext:
         """C(g): x -> g x g^-1, interned."""
         known = self._conjugation_memo.get(g)
         if known is None:
-            group = self.group
-            g_inv = group.inv(g)
-            known = self.intern_alpha(
-                tuple(group.mult(group.mult(g, x), g_inv) for x in range(self.n))
-            )
+            known = self.intern_alpha(tuple(self.group.conj(g, x) for x in range(self.n)))
             self._conjugation_memo[g] = known
         return known
 
@@ -122,27 +118,23 @@ class HolContext:
         g, a = x
         return self.group.mult(g, self._alphas[a][t])
 
+    def action_perm(self, g: int, alpha):
+        """The degree-n permutation t -> g * alpha(t) of [g, alpha], for an
+        automorphism given as a tuple (nothing is interned)."""
+        group = self.group
+        if group._table is not None:
+            return tuple(map(group._table[g].__getitem__, alpha))
+        return tuple(group.mult(g, a) for a in alpha)
+
     def element_perm(self, x):
         """The degree-n permutation tuple of a holomorph element."""
         g, a = x
-        group = self.group
-        alpha = self._alphas[a]
-        if group._table is not None:
-            row = group._table[g]
-            return tuple(row[alpha[t]] for t in range(self.n))
-        return tuple(group.mult(g, alpha[t]) for t in range(self.n))
+        return self.action_perm(g, self._alphas[a])
 
     def decode_perm(self, perm):
         """Recover the unique pair [g, alpha] from its action permutation."""
-        perm = tuple(perm)
         g = perm[0]
-        g_inv = self.group.inv(g)
-        if self.group._table is not None:
-            row = self.group._table[g_inv]
-            alpha = tuple(row[perm[t]] for t in range(self.n))
-        else:
-            alpha = tuple(self.group.mult(g_inv, perm[t]) for t in range(self.n))
-        return (g, self.intern_alpha(alpha))
+        return (g, self.intern_alpha(self.action_perm(self.group.inv(g), perm)))
 
     # -- distinguished elements ------------------------------------------------------
 
@@ -162,14 +154,6 @@ class HolContext:
 def hol_context(group: PermGroup | CayleyIndexedGroup, cap: int = 10**5) -> HolContext:
     indexed = group if isinstance(group, CayleyIndexedGroup) else index_group(group, cap=cap)
     return HolContext(indexed)
-
-
-def hol_mult(ctx: HolContext, x, y):
-    return ctx.mult(x, y)
-
-
-def hol_action(ctx: HolContext, x, t: int) -> int:
-    return ctx.act(x, t)
 
 
 def conjugation_aut(ctx: HolContext, g: int):
@@ -200,6 +184,36 @@ def hol_group(group: PermGroup, aut_group: PermGroup | None = None, cap: int = 1
     return result
 
 
+def homomorphism_map(source: PermGroup, gen_images, mult, identity) -> dict:
+    """A homomorphism from source, given by one image per generator, on every
+    element: a dict perm-tuple -> image.  mult and identity are the target's.
+
+    Built by BFS over the source Cayley graph; every non-tree edge is
+    checked, so success proves the homomorphism law exhaustively.
+    """
+    gen_images = list(gen_images)
+    if len(gen_images) != len(source.generators):
+        raise ValueError("need one image per generator")
+    gens = [(g.images, image) for g, image in zip(source.generators, gen_images)]
+    start = tidentity(source.degree)
+    mapping = {start: identity}
+    queue = [start]
+    for current in queue:  # the queue grows while it is read: BFS order
+        image = mapping[current]
+        for gen_perm, gen_image in gens:
+            product = tmul(current, gen_perm)
+            product_image = mult(image, gen_image)
+            known = mapping.get(product)
+            if known is None:
+                mapping[product] = product_image
+                queue.append(product)
+            elif known != product_image:
+                raise ValueError("generator images do not define a homomorphism")
+    if len(mapping) != source.order():
+        raise ValueError("generator images do not define a homomorphism")
+    return mapping
+
+
 class RegularEmbedding:
     """A homomorphism Gamma -> Hol(G) given on generators, with a regularity
     certificate filled in by verify()."""
@@ -223,42 +237,18 @@ class RegularEmbedding:
         return cls(source, ctx, [ctx.decode_perm(g.images) for g in source.generators])
 
     def full_map(self, cap: int = 10**5):
-        """beta on every element of Gamma: a dict perm-tuple -> hol pair.
-
-        Built by BFS over the source Cayley graph; every non-tree edge is
-        checked, so success proves the homomorphism law exhaustively.
-        """
-        if self._map is not None:
-            return self._map
-        source_order = self.source.order()
-        if source_order > cap:
-            raise ValueError("embedding map cap %d exceeded: order %d" % (cap, source_order))
-        ctx = self.ctx
-        gen_images = {
-            gen.images: image for gen, image in zip(self.source.generators, self.images)
-        }
-        identity = tidentity(self.source.degree)
-        beta = {identity: ctx.identity}
-        queue = [identity]
-        order = [identity]
-        gens = [(g.images, gen_images[g.images]) for g in self.source.generators]
-        while queue:
-            current = queue.pop(0)
-            image = beta[current]
-            for gen_perm, gen_image in gens:
-                product = tmul(current, gen_perm)
-                product_image = ctx.mult(image, gen_image)
-                known = beta.get(product)
-                if known is None:
-                    beta[product] = product_image
-                    queue.append(product)
-                    order.append(product)
-                elif known != product_image:
-                    raise ValueError("generator images do not define a homomorphism")
-        if len(beta) != source_order:
-            raise ValueError("generator images do not define a homomorphism")
-        self._map = beta
-        return beta
+        """beta on every element of Gamma: a dict perm-tuple -> hol pair
+        (see homomorphism_map)."""
+        if self._map is None:
+            source_order = self.source.order()
+            if source_order > cap:
+                raise ValueError(
+                    "embedding map cap %d exceeded: order %d" % (cap, source_order)
+                )
+            self._map = homomorphism_map(
+                self.source, self.images, self.ctx.mult, self.ctx.identity
+            )
+        return self._map
 
     def image_orbit_size(self) -> int:
         """Size of the orbit of the identity index under the image generators."""
@@ -302,17 +292,6 @@ class RegularEmbedding:
 
     def is_regular(self) -> bool:
         return self.verify()["regular"]
-
-    def image_generator_perms(self):
-        return [self.ctx.element_perm(x) for x in self.images]
-
-    def image_permutation_group(self) -> PermGroup:
-        """The image as a PermGroup on element indices (small degrees only)."""
-        gens = [Permutation(p) for p in self.image_generator_perms()]
-        gens = [p for p in gens if not p.is_identity()]
-        if not gens:
-            return PermGroup.trivial(self.ctx.n)
-        return PermGroup(gens, degree=self.ctx.n)
 
     def serialize(self):
         return {

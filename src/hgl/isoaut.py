@@ -10,25 +10,13 @@ map respecting all Cayley-graph edges is a homomorphism.
 
 from __future__ import annotations
 
-from .cayley import CayleyIndexedGroup, index_group
-from .perm import PermGroup, Permutation
+from .cayley import CayleyIndexedGroup, greedy_generating_set, index_group
+from .perm import PermGroup, Permutation, brute_closure, reduce_generators
 from .structure import conjugacy_classes
 
 ISO_CAP = 10**4
 AUT_CAP = 2000
-
-
-def _greedy_generating_sequence(group) -> list:
-    chosen = []
-    generated = {0}
-    for i in range(1, group.n):
-        if i in generated:
-            continue
-        chosen.append(i)
-        generated = set(group.subgroup_indices(chosen))
-        if len(generated) == group.n:
-            break
-    return chosen
+SUBGROUP_SEARCH_CAP = 10**4
 
 
 def _bfs_edges(group, gens):
@@ -118,9 +106,9 @@ def _words_over(ngens, length):
             yield rest + (k,)
 
 
-def _search(source, target, collect_all):
+def _search(source, target):
     """Backtracking over generator images; yields full image maps."""
-    gens = _greedy_generating_sequence(source)
+    gens, _ = greedy_generating_set(source)
     if not gens:
         if target.n == 1:
             yield [0]
@@ -222,7 +210,7 @@ def are_isomorphic(g: PermGroup, h: PermGroup, cap: int = ISO_CAP):
     hi = index_group(h)
     if not _prescreen(gi, hi):
         return None
-    for mapping in _search(gi, hi, collect_all=False):
+    for mapping in _search(gi, hi):
         return Isomorphism(gi, hi, mapping)
     return None
 
@@ -231,7 +219,7 @@ def automorphisms(indexed: CayleyIndexedGroup, cap: int = AUT_CAP):
     """All automorphisms of an indexed group, as index maps (sorted)."""
     if indexed.n > cap:
         raise ValueError("automorphism cap %d exceeded: order %d" % (cap, indexed.n))
-    maps = sorted(tuple(m) for m in _search(indexed, indexed, collect_all=True))
+    maps = sorted(tuple(m) for m in _search(indexed, indexed))
     return [list(m) for m in maps]
 
 
@@ -243,24 +231,10 @@ def automorphism_group(g: PermGroup, cap: int = AUT_CAP) -> PermGroup:
     non_trivial = [p for p in perms if not p.is_identity()]
     if not non_trivial:
         return PermGroup.trivial(indexed.n)
-    group = PermGroup(_reduce_generators(non_trivial, len(maps)), degree=indexed.n)
+    group = PermGroup(reduce_generators(non_trivial, len(maps)), degree=indexed.n)
     if group.order() != len(maps):
         raise AssertionError("automorphism generators lost elements")
     return group
-
-
-def _reduce_generators(perms, target_order):
-    """Greedy small generating subset of an explicit element list."""
-    chosen = []
-    current = None
-    for p in perms:
-        if current is not None and p in current:
-            continue
-        chosen.append(p)
-        current = PermGroup(chosen, degree=p.degree)
-        if current.order() == target_order:
-            break
-    return chosen
 
 
 def inner_automorphism_group(indexed: CayleyIndexedGroup) -> PermGroup:
@@ -274,3 +248,27 @@ def inner_automorphism_group(indexed: CayleyIndexedGroup) -> PermGroup:
     if not gens:
         return PermGroup.trivial(indexed.n)
     return PermGroup(gens, degree=indexed.n)
+
+
+def find_isomorphic_subgroup(group: PermGroup, target: PermGroup):
+    """The first subgroup <u, v> of group isomorphic to target, or None.
+
+    u runs over the elements of the largest element order of target and v
+    over the non-identity elements whose order occurs in target, both in
+    group.elements() order (desk scale; 2-generated targets only).
+    """
+    order = target.order()
+    if group.order() % order:
+        return None
+    elements = group.elements(cap=SUBGROUP_SEARCH_CAP)
+    target_orders = sorted({g.order() for g in target.elements(cap=SUBGROUP_SEARCH_CAP)})
+    firsts = [x for x in elements if x.order() == target_orders[-1]]
+    seconds = [x for x in elements if x.order() in target_orders and not x.is_identity()]
+    for u in firsts:
+        for v in seconds:
+            closure = brute_closure([u.images, v.images], cap=order)
+            if closure is not None and len(closure) == order:
+                candidate = PermGroup([u, v], degree=group.degree)
+                if are_isomorphic(candidate, target) is not None:
+                    return candidate
+    return None

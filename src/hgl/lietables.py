@@ -11,28 +11,14 @@ in exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
+
+from .numtheory import prime_power, prime_powers_up_to
 
 CLASSICAL_FAMILIES = ("A", "2A", "C", "B", "D", "2D")
 EXCEPTIONAL_FAMILIES = (
     "G2", "F4", "E6", "2E6", "3D4", "E7", "E8", "2B2", "2G2", "2F4", "2F4'",
 )
-
-
-def _prime_power(q: int):
-    if q < 2:
-        raise ValueError("%d is not a prime power" % q)
-    m = q
-    for p in range(2, q + 1):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, e
-    raise ValueError("%d is not a prime power" % q)
 
 
 class RestrictionViolation(ValueError):
@@ -94,7 +80,7 @@ def lie_datum(family: str, n: int | None, q: int) -> LieDatum:
     if family in ("B",) and n == 2:
         # generic isomorphism POmega_5(q) = PSp_4(q): canonicalise
         return lie_datum("C", 2, q)
-    p, e = _prime_power(q)
+    p, e = prime_power(q)
     if family == "A":
         if n is None or n < 2:
             raise RestrictionViolation("PSL_n needs n >= 2")
@@ -211,17 +197,6 @@ def _exceptional_datum(family: str, q: int, p: int, e: int) -> LieDatum:
     raise ValueError("unknown family %r" % family)
 
 
-def prime_powers_up_to(q_max: int):
-    out = []
-    for q in range(2, q_max + 1):
-        try:
-            _prime_power(q)
-        except ValueError:
-            continue
-        out.append(q)
-    return out
-
-
 def _family_parameter_range(family: str, n_max: int, q_max: int):
     qs = prime_powers_up_to(q_max)
     if family in ("A",):
@@ -270,7 +245,7 @@ def helper_bound_e_cubed(q_max: int = 1024):
     """e^3 <= q^2 / 2 for every prime power q = p^e, as 2 e^3 <= q^2."""
     failures = []
     for q in prime_powers_up_to(q_max):
-        p, e = _prime_power(q)
+        p, e = prime_power(q)
         if 2 * e**3 > q * q:
             failures.append(q)
     return {"q_max": q_max, "failures": failures, "pass": not failures}
@@ -282,7 +257,7 @@ def psl2_lemma_check(q: int):
     case (PSL2(4) = PSL2(5) = A5, PSL2(9) = A6)."""
     if q < 4:
         raise ValueError("PSL2(q) is simple only for q >= 4")
-    p, e = _prime_power(q)
+    p, e = prime_power(q)
     if q in (4, 5, 9):
         return {"q": q, "redirect": "alternating", "pass": True}
     if q % 2 == 0:
@@ -296,11 +271,7 @@ def alt_lemma_check(n: int) -> bool:
     """3^(2n+1) < (n!/2)^3 for n >= 5, in exact integers."""
     if n < 5:
         raise ValueError("alternating inequality needs n >= 5")
-    half_factorial = 1
-    for i in range(2, n + 1):
-        half_factorial *= i
-    half_factorial //= 2
-    return 3 ** (2 * n + 1) < half_factorial**3
+    return 3 ** (2 * n + 1) < (factorial(n) // 2) ** 3
 
 
 def sporadic_check(out_order: int = 2, min_simple_order: int = 7920):

@@ -234,6 +234,19 @@ class _ChainLevel:
         self._transversal[point] = u
         return u
 
+    def schreier_generators(self):
+        """The non-identity Schreier generators of the stabilizer of the base
+        point, as a set (filled in orbit order, then generator order)."""
+        out = set()
+        for point in self.orbit:
+            u_point = self.transversal(point)
+            for g in self.gens:
+                image = g[point]
+                s = tmul(tinv(self.transversal(image)), tmul(g, u_point))
+                if any(i != j for i, j in enumerate(s)):
+                    out.add(s)
+        return out
+
 
 class PermGroup:
     """A permutation group given by generators, with a lazily-built
@@ -293,15 +306,7 @@ class PermGroup:
                 base = moved[0]
             level = _ChainLevel(base, sorted(gens))
             levels.append(level)
-            schreier = set()
-            for point in level.orbit:
-                u_point = level.transversal(point)
-                for g in level.gens:
-                    image = g[point]
-                    s = tmul(tinv(level.transversal(image)), tmul(g, u_point))
-                    if any(i != j for i, j in enumerate(s)):
-                        schreier.add(s)
-            gens = sorted(schreier)
+            gens = sorted(level.schreier_generators())
         return levels
 
     @property
@@ -382,16 +387,9 @@ class PermGroup:
         levels = self._build_chain(first_base=point)
         if not levels or levels[0].base != point:
             return self
-        stab_gens = []
-        level = levels[0]
-        for orbit_point in level.orbit:
-            u_point = level.transversal(orbit_point)
-            for g in level.gens:
-                image = g[orbit_point]
-                s = tmul(tinv(level.transversal(image)), tmul(g, u_point))
-                if any(i != j for i, j in enumerate(s)):
-                    stab_gens.append(s)
-        return PermGroup([Permutation(s) for s in set(stab_gens)], degree=self.degree)
+        return PermGroup(
+            [Permutation(s) for s in levels[0].schreier_generators()], degree=self.degree
+        )
 
     def subgroup(self, perms) -> "PermGroup":
         return PermGroup(list(perms), degree=self.degree)
@@ -546,8 +544,9 @@ def _p_valuation(n: int, p: int) -> int:
 
 
 def brute_closure(gens, cap: int = 10**6):
-    """Exhaustive product closure of a set of permutations. Independent of the
-    stabilizer chain; used as an oracle in tests and small searches."""
+    """Exhaustive product closure of a set of permutations, or None once it
+    would exceed cap elements.  Independent of the stabilizer chain; used as
+    an oracle in tests and for small searches."""
     gens = [g.images if isinstance(g, Permutation) else tuple(g) for g in gens]
     if not gens:
         raise ValueError("need at least one permutation")
@@ -560,10 +559,25 @@ def brute_closure(gens, cap: int = 10**6):
             product = tmul(current, g)
             if product not in seen:
                 if len(seen) >= cap:
-                    raise ValueError("closure cap %d exceeded" % cap)
+                    return None
                 seen.add(product)
                 queue.append(product)
     return seen
+
+
+def reduce_generators(perms, target_order: int):
+    """Greedy generating subset of an element list: keep each permutation not
+    yet in the group generated so far, until that group has target_order."""
+    chosen = []
+    current = None
+    for p in perms:
+        if current is not None and p in current:
+            continue
+        chosen.append(p)
+        current = PermGroup(chosen, degree=p.degree)
+        if current.order() == target_order:
+            break
+    return chosen
 
 
 def direct_product(groups) -> PermGroup:

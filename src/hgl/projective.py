@@ -10,26 +10,10 @@ entrywise Frobenius of the field.
 from __future__ import annotations
 
 from .gf import make_field
+from .numtheory import prime_power
 from .perm import PermGroup, Permutation
 
 PROJECTIVE_Q_CAP = 2**14
-
-
-def _prime_power(q: int):
-    """Return (p, e) with q = p^e, or raise."""
-    if q < 2:
-        raise ValueError("%d is not a prime power" % q)
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, e
-    raise ValueError("%d is not a prime power" % q)
 
 
 def _mobius_permutation(field, a, b, c, d) -> Permutation:
@@ -65,7 +49,7 @@ def projective_group(kind: str, q: int) -> PermGroup:
     """
     if q > PROJECTIVE_Q_CAP:
         raise ValueError("q=%d exceeds cap %d" % (q, PROJECTIVE_Q_CAP))
-    p, e = _prime_power(q)
+    p, e = prime_power(q)
     field = make_field(p, e)
     # Elementary transvections with coefficients spanning F_q over F_p
     # generate SL2(q); unit coefficients alone only reach SL2(p).

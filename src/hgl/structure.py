@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cayley import TableGroup, index_group
+from .cayley import TableGroup, greedy_generating_set, index_group
+from .numtheory import is_prime
 from .perm import PermGroup
 
 SERIES_CAP = 10**6
@@ -43,7 +44,7 @@ class StructureReport:
         return [order for order, _ in self.composition_factors]
 
     def has_nonabelian_simple_factor(self) -> bool:
-        return any(order > 1 and not _is_prime(order) for order, _ in self.composition_factors)
+        return any(order > 1 and not is_prime(order) for order, _ in self.composition_factors)
 
     def as_dict(self):
         return {
@@ -55,17 +56,6 @@ class StructureReport:
         }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _conjugating_gens(group):
     """Indices whose conjugation action generates all of it (group generators,
     or a greedy generating set for raw tables)."""
@@ -73,9 +63,7 @@ def _conjugating_gens(group):
     if hasattr(group, "generator_indices"):
         gens = [g for g in group.generator_indices() if g != 0]
     if not gens:
-        from .cayley import _small_generating_set
-
-        gens = _small_generating_set(group)
+        gens, _ = greedy_generating_set(group)
     return gens
 
 
@@ -121,16 +109,8 @@ def normal_closure_indices(group, seeds):
     for s in seeds:
         if s not in stable:
             stable |= _class_of(group, gens, s)
-    chosen = []
-    generated = {0}
-    for x in sorted(stable):
-        if x in generated:
-            continue
-        chosen.append(x)
-        generated = set(group.subgroup_indices(chosen))
-        if len(generated) == group.n:
-            break
-    return sorted(generated)
+    _, generated = greedy_generating_set(group, sorted(stable))
+    return generated
 
 
 def is_simple_indexed(group) -> bool:
@@ -138,7 +118,7 @@ def is_simple_indexed(group) -> bool:
     whole group."""
     if group.n == 1:
         return False
-    if _is_prime(group.n):
+    if is_prime(group.n):
         return True
     for cls in conjugacy_classes(group):
         if cls == (0,):
@@ -187,7 +167,7 @@ def composition_factors(group) -> list:
                 chosen = closure
     if chosen is None:
         order = group.n
-        if _is_prime(order):
+        if is_prime(order):
             tag = "C%d" % order
         else:
             tag = _SIMPLE_NAMES.get(order, "simple-%d" % order)

@@ -164,8 +164,8 @@ def test_criterion_04_elementary_abelian_lower_bound():
     started = time.monotonic()
     result = counted("C5^2,C5^2")
     elapsed = time.monotonic() - started
-    ok = result.count >= 20 and not result.discrepancy and elapsed < 600
-    report(4, ok, elapsed, "count=%d (>= 20 = p^(n(n-1)-1)(p-1))" % result.count)
+    ok = result.count == 25 and not result.discrepancy and elapsed < 600
+    report(4, ok, elapsed, "count=%d (== p^2 = 25, Byott 1996)" % result.count)
 
 
 NILPOTENT_CATALOG_16 = [

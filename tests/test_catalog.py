@@ -36,7 +36,10 @@ def test_parse_atoms_case_and_whitespace():
 
 @pytest.mark.parametrize(
     "bad",
-    ["F20", "C9x", "xA4", "Q8", "A4 y C5", "PSL(4,2)", "PSU(4,3)", "D7", "D2", "E(4,2)", "", "A2"],
+    [
+        "F20", "C9x", "xA4", "Q8", "A4 y C5", "PSL(4,2)", "PSU(4,3)", "D7", "D2", "E(4,2)", "",
+        "A2", "PSL(2,12)", "PGL(2,6)", "PGammaL(2,12)",
+    ],
 )
 def test_parse_rejects(bad):
     with pytest.raises(SpecError):

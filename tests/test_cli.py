@@ -178,3 +178,18 @@ def test_stale_version_cache_ignored(tmp_path, capsys):
     code, out = run_cli(capsys, "--cache-dir", str(cache_dir), "psl2-check", "--q", "8")
     assert code == 0
     assert json.loads(out)["result"]["pass"] is True
+
+
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    _, cold = run_cli(capsys, "--cache-dir", str(cache_dir), "count-hgs", "--gamma", "S3", "--g", "C6")
+    entry = next(cache_dir.glob("*.json"))
+    entry.write_text(entry.read_text()[:40])  # a truncated write
+    code = main(["--cache-dir", str(cache_dir), "count-hgs", "--gamma", "S3", "--g", "C6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == cold
+    assert "warning: ignoring unreadable cache entry" in captured.err
+    # the recomputed result replaced the broken entry, and no partial file is left
+    assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+    assert json.loads(entry.read_text())["document"] == cold

@@ -1,0 +1,45 @@
+"""Golden outputs: the sha256 of the full stdout document of fast CLI calls.
+
+The digests cover the witnesses, generator lists and certificates that the
+count-level tests do not pin, so a refactor that changes any byte of these
+documents (for example which A5 the subgroup-by-pairs search picks inside
+PSL(2,11)) fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from hgl.cli import main
+
+GOLDEN = [
+    (["count-hgs", "--gamma", "S3", "--g", "S3"],
+     "59c96528ded4fff95afd6be6830f6c646e0478545565021d86a3e46a27d3d119"),
+    (["count-hgs", "--gamma", "C6", "--g", "S3"],
+     "98ae6a5c3eec96f39c0b9d750906fa05cd56a090b2f9e58af45566348b18fd9e"),
+    (["delta-p", "--g", "C12", "--p", "3", "--all-embeddings"],
+     "cd199113ccfd4757c3e47f828a5fd46137ed4dc7af29b33286326c8aeba874df"),
+    (["untangle", "--g", "PSL(2,7)", "--h", "stab", "--j", "search", "--witness"],
+     "4f3f294419ba9dc57547c6c575a9f2872745f0012f5cb83a11860d6a84c02846"),
+    (["untangle", "--g", "PSL(2,11)", "--h", "A5", "--j", "search", "--witness"],
+     "c64e64ae264007082e8a19923443284a8bfa311b54de3957014a21e94d769d54"),
+    (["sol-insol", "--case", "i"],
+     "be7439a7bb1a4556cca6a4a42407828e6be27b7c296f3b9626f13acdd10c1a98"),
+    (["sol-insol", "--case", "ii"],
+     "a7c0ae92bd65150f0547b4f366075fa46a7f14ec42b4432b086b9be4e7a3ce75"),
+    (["structure", "--group", "F21xD8"],
+     "321198cd6d904d194e1684446b717104ce71358388e862058da2b629dfe1ee03"),
+    (["a-value", "--group", "S5"],
+     "88ff4bb9bdda4739173ef49b48a4c8e28249d9875a84cb260d9872f7acc8d428"),
+    (["enumerate-regular", "--g", "C4", "--candidates", "C4,E(2,2)"],
+     "7de1b1a51dbb6efafa56dc8d32cd316f11ef28c595131552a06fd4c622d031a8"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_document(argv, digest, capsys, monkeypatch):
+    monkeypatch.delenv("HGL_CACHE_DIR", raising=False)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

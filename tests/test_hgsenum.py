@@ -6,7 +6,6 @@ from hgl.catalog import build_group
 from hgl.hgsenum import (
     BudgetExceeded,
     ComplementaryPair,
-    count_crosscheck_formula,
     count_hgs,
     delta_p,
     enumerate_regular_subgroups,
@@ -101,10 +100,10 @@ def test_witnesses_inequivalent():
 
 
 def test_byott_crosscheck_formula():
-    assert count_crosscheck_formula("C9", "C9") == 3
-    assert count_crosscheck_formula("C2", "C2") == 1
+    assert count_hgs("C9", "C9").crosscheck == 3
+    assert count_hgs("C2", "C2").crosscheck == 1
     # (V4, C4): one regular V4 in Hol(C4); 6 * 1 / 2 = 3
-    assert count_crosscheck_formula("E(2,2)", "C4") == 3
+    assert count_hgs("E(2,2)", "C4").crosscheck == 3
 
 
 def test_count_hgs_order_mismatch():
