@@ -101,11 +101,13 @@ class TableGroup(_IndexedGroup):
 
     Used for quotients and subgroups extracted at the Cayley level, where no
     natural permutation representation is at hand.  The interface mirrors the
-    parts of CayleyIndexedGroup that structural computations need.
+    parts of CayleyIndexedGroup that structural computations need.  elements,
+    when given, is the permutation of each index (see regular_table).
     """
 
-    def __init__(self, table):
+    def __init__(self, table, elements=None):
         self.n = len(table)
+        self.elements = elements
         self._table = [list(row) for row in table]
         for i in range(self.n):
             if self._table[0][i] != i or self._table[i][0] != i:
@@ -133,6 +135,17 @@ class TableGroup(_IndexedGroup):
                 orders[i] = k
             self._orders = orders
         return self._orders
+
+
+def regular_table(elements) -> TableGroup:
+    """A regular permutation group, from its full element list, as its own
+    Cayley table: index a is the element e_a with e_a(0) = a.  Then
+    (e_a e_b)(0) = e_a(b), so row a of the table is e_a itself and index 0 is
+    the identity."""
+    rows = sorted(elements, key=lambda p: p[0])
+    if not rows or len(rows) != len(rows[0]):
+        raise ValueError("a regular group of degree n needs all n of its elements")
+    return TableGroup(rows, elements=rows)
 
 
 def regular_permutation_group(group) -> PermGroup:

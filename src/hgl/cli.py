@@ -48,6 +48,7 @@ from .lietables import (
     psl2_lemma_check,
     sweep_ineq3,
 )
+from .numtheory import prime_factors
 from .perm import PermGroup, sylow_subgroup
 from .structure import structure_report
 from .su42 import (
@@ -205,11 +206,15 @@ def _cmd_lie_sweep(args):
 
 
 def _cmd_psl2_check(args):
+    if args.q < 4 or len(prime_factors(args.q)) != 1:
+        raise SpecError("psl2-check needs a prime power q >= 4, not %d" % args.q)
     result = psl2_lemma_check(args.q)
     return result, result["pass"], True
 
 
 def _cmd_alt_check(args):
+    if args.n < 5:
+        raise SpecError("alt-check needs n >= 5, not %d" % args.n)
     holds = alt_lemma_check(args.n)
     return {"n": args.n, "pass": holds}, holds, True
 
@@ -453,7 +458,11 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    cache = Cache(args.cache_dir)
+    try:
+        cache = Cache(args.cache_dir)
+    except OSError as exc:  # e.g. --cache-dir names a file
+        print("error: unusable --cache-dir: %s" % exc, file=sys.stderr)
+        return 2
     inputs = _inputs_of(args)
     key = cache.key(args.command, inputs)
     started = time.monotonic()

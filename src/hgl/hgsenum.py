@@ -9,6 +9,8 @@ h(0) = x, and extends S to <S, h> by a Dimino coset sweep that aborts as soon
 as the closure exceeds |G|, stops dividing |G|, or acquires an element with a
 fixed point.  States are deduplicated by their element sets, results when
 |S| = |G| (a semiregular subgroup of full order is transitive, hence regular).
+A regular subgroup is its own Cayley table: its elements, indexed by their
+image of 0, are the rows of its multiplication table (cayley.regular_table).
 
 Counting Hopf-Galois structures of type G on Gamma-extensions then means:
 collect the regular subgroups isomorphic to Gamma, expand each into all
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import build_group
-from .cayley import greedy_generating_set, index_group
+from .cayley import greedy_generating_set, index_group, regular_table
 from .holomorph import HolContext, RegularEmbedding, hol_context
 from .isoaut import are_isomorphic, automorphism_group, automorphisms
 from .perm import (
@@ -39,6 +41,7 @@ from .perm import (
 )
 
 ENUM_ORDER_CAP = 60
+COMPLEMENT_GROUP_CAP = 10**4
 DEFAULT_BUDGET = 10**8
 
 
@@ -65,12 +68,6 @@ class RegularSubgroupRecord:
     def fingerprint(self) -> str:
         blob = repr(self.elements).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def permutation_group(self) -> PermGroup:
-        gens = [Permutation(p) for p in self.elements if p != tidentity(len(self.elements[0]))]
-        if not gens:
-            return PermGroup.trivial(len(self.elements[0]))
-        return PermGroup(gens, degree=len(self.elements[0]))
 
 
 def semiregular_element_buckets(ctx: HolContext, aut_maps):
@@ -174,13 +171,7 @@ def regular_subgroups_of_elements(
     return sorted(results)
 
 
-def enumerate_regular_subgroups(
-    group,
-    aut_group: PermGroup | None = None,
-    budget: int = DEFAULT_BUDGET,
-    order_cap: int = ENUM_ORDER_CAP,
-    iso_candidates=(),
-):
+def enumerate_regular_subgroups(group, budget: int = DEFAULT_BUDGET, iso_candidates=()):
     """Complete, duplicate-free list of the regular subgroups of Hol(G).
 
     `group` may be a PermGroup, a GroupSpec, or a spec string.  Each record
@@ -189,24 +180,24 @@ def enumerate_regular_subgroups(
     """
     if isinstance(group, str) or hasattr(group, "kind"):
         group = build_group(group)
-    if group.order() > order_cap:
-        raise ValueError(
-            "enumeration cap %d exceeded: order %d" % (order_cap, group.order())
-        )
+    order = group.order()
+    if order > ENUM_ORDER_CAP:
+        raise ValueError("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, order))
     ctx = hol_context(group)
-    if aut_group is None:
-        aut_group = automorphism_group(ctx.group)
-    aut_maps = [g.images for g in aut_group.elements()]
+    aut_maps = [g.images for g in automorphism_group(ctx.group).elements()]
     buckets = semiregular_element_buckets(ctx, aut_maps)
     subgroups = regular_subgroups_of_elements(buckets, ctx.n, budget=budget)
+    # a candidate of another order never matches, so it is never indexed
+    candidates = [(str(spec), build_group(spec)) for spec in iso_candidates]
+    candidates = [(spec, index_group(c)) for spec, c in candidates if c.order() == order]
     records = []
-    candidate_groups = [(spec, build_group(spec)) for spec in iso_candidates]
     for elements in subgroups:
         record = RegularSubgroupRecord(elements=elements)
-        for spec, candidate in candidate_groups:
-            if are_isomorphic(record.permutation_group(), candidate) is not None:
-                record.iso_spec = str(spec)
-                break
+        if candidates:
+            table = regular_table(elements)
+            record.iso_spec = next(
+                (spec for spec, c in candidates if are_isomorphic(table, c) is not None), None
+            )
         records.append(record)
     return records
 
@@ -268,7 +259,7 @@ class HgsCount:
         }
 
 
-def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET, order_cap: int = ENUM_ORDER_CAP) -> HgsCount:
+def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET) -> HgsCount:
     """Count equivalence classes of regular embeddings gamma -> Hol(G) under
     conjugation by Aut(G), with one witness embedding per class."""
     gamma_name = str(gamma) if not isinstance(gamma, PermGroup) else "gamma"
@@ -281,44 +272,33 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET, order_cap: int = ENUM_ORDE
         raise ValueError(
             "order mismatch: |gamma| = %d, |G| = %d" % (gamma.order(), g.order())
         )
-    ctx = hol_context(g)
     gamma_indexed = index_group(gamma)
+    gamma_cyclic = _is_cyclic(gamma_indexed)
+    if not gamma_cyclic and g.order() > ENUM_ORDER_CAP:
+        raise ValueError("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, g.order()))
+    ctx = hol_context(g)
     aut_g = automorphism_group(ctx.group)
     aut_g_maps = [p.images for p in aut_g.elements()]
-
-    gamma_cyclic = _is_cyclic(gamma_indexed)
     if gamma_cyclic:
         subgroup_sets = _regular_cyclic_subgroups(ctx, aut_g_maps)
-        matching = subgroup_sets
     else:
-        if g.order() > order_cap:
-            raise ValueError(
-                "enumeration cap %d exceeded: order %d" % (order_cap, g.order())
-            )
         buckets = semiregular_element_buckets(ctx, aut_g_maps)
         subgroup_sets = regular_subgroups_of_elements(buckets, ctx.n, budget=budget)
-        matching = []
-        for elements in subgroup_sets:
-            record = RegularSubgroupRecord(elements=elements)
-            if are_isomorphic(record.permutation_group(), gamma) is not None:
-                matching.append(elements)
 
-    # expand each matching subgroup into all regular embeddings gamma -> N
+    # expand each subgroup N isomorphic to gamma into all regular embeddings
+    # gamma -> N: one isomorphism composed with every automorphism of gamma
     gamma_gens, _ = greedy_generating_set(gamma_indexed)
     aut_gamma_maps = automorphisms(gamma_indexed)
     embeddings = set()
-    for elements in matching:
-        record = RegularSubgroupRecord(elements=elements)
-        n_group = record.permutation_group()
-        n_indexed = index_group(n_group)
-        iso = are_isomorphic(gamma, n_group)
+    f = 0
+    for elements in subgroup_sets:
+        table = regular_table(elements)
+        iso = are_isomorphic(gamma_indexed, table)
         if iso is None:
-            raise AssertionError("subgroup lost its isomorphism type")
+            continue
+        f += 1
         for aut_map in aut_gamma_maps:
-            fingerprint = tuple(
-                n_indexed.elements[iso.mapping[aut_map[gen]]] for gen in gamma_gens
-            )
-            embeddings.add(fingerprint)
+            embeddings.add(tuple(table.elements[iso.mapping[aut_map[gen]]] for gen in gamma_gens))
 
     # orbit count under Aut(G)-conjugation
     theta_pairs = [
@@ -341,7 +321,6 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET, order_cap: int = ENUM_ORDE
                     unvisited.discard(conjugated)
                     queue.append(conjugated)
 
-    f = len(matching)
     crosscheck = Fraction(len(aut_gamma_maps) * f, len(aut_g_maps))
     witnesses = []
     for rep in sorted(reps):
@@ -446,13 +425,7 @@ class ComplementaryPair:
         )
 
 
-def find_complement(
-    group: PermGroup,
-    h,
-    budget: int = DEFAULT_BUDGET,
-    group_cap: int = 10**4,
-    index_cap: int = ENUM_ORDER_CAP,
-):
+def find_complement(group: PermGroup, h, budget: int = DEFAULT_BUDGET):
     """A subgroup J complementary to H in G, or None after exhaustive search.
 
     H may be a subgroup or a point (its stabilizer is used).  J is found as a
@@ -462,13 +435,13 @@ def find_complement(
     if isinstance(h, int):
         h = group.point_stabilizer(h)
     order = group.order()
-    if order > group_cap:
-        raise ValueError("group cap %d exceeded: order %d" % (group_cap, order))
+    if order > COMPLEMENT_GROUP_CAP:
+        raise ValueError("group cap %d exceeded: order %d" % (COMPLEMENT_GROUP_CAP, order))
     if order % h.order():
         raise ValueError("|H| does not divide |G|")
     m = order // h.order()
-    if m > index_cap:
-        raise ValueError("index cap %d exceeded: index %d" % (index_cap, m))
+    if m > ENUM_ORDER_CAP:
+        raise ValueError("index cap %d exceeded: index %d" % (ENUM_ORDER_CAP, m))
 
     coset_perm_of, kernel_free = _coset_action(group, h, m)
     if not kernel_free:
@@ -522,7 +495,7 @@ def _coset_action(group: PermGroup, h: PermGroup, m: int):
     if len(reps) != m:
         raise AssertionError("found %d cosets, expected %d" % (len(reps), m))
 
-    elements = group.elements(cap=10**4)
+    elements = group.elements(cap=COMPLEMENT_GROUP_CAP)
     pairs = []
     images_seen = set()
     for element in elements:

@@ -21,7 +21,7 @@ law, and the orbit of the identity index has size |G| iff the image is regular
 
 from __future__ import annotations
 
-from .cayley import CayleyIndexedGroup, index_group
+from .cayley import CayleyIndexedGroup, greedy_generating_set, index_group, regular_table
 from .perm import PermGroup, Permutation, tidentity, tinv, tmul
 
 
@@ -230,10 +230,11 @@ class RegularEmbedding:
     @classmethod
     def from_subgroup(cls, ctx: HolContext, element_perms) -> "RegularEmbedding":
         """Inclusion embedding of a regular subgroup of Hol(G) given by the
-        action permutations of its elements (or generators)."""
-        perms = [p if isinstance(p, Permutation) else Permutation(p) for p in element_perms]
-        gens = [p for p in perms if not p.is_identity()]
-        source = PermGroup(gens, degree=ctx.n)
+        action permutation tuples of all its elements (ValueError otherwise),
+        generated by a greedy generating set of its Cayley table."""
+        table = regular_table(element_perms)
+        gens, _ = greedy_generating_set(table)
+        source = PermGroup([table.elements[i] for i in gens], degree=ctx.n)
         return cls(source, ctx, [ctx.decode_perm(g.images) for g in source.generators])
 
     def full_map(self, cap: int = 10**5):

@@ -47,7 +47,8 @@ def _bfs_edges(group, gens):
 
 
 class _CandidateData:
-    """Prepared target-side data for a backtracking run."""
+    """An indexed group with its element orders and class sizes, prepared
+    once per group for the prescreen and the backtracking run."""
 
     def __init__(self, group):
         self.group = group
@@ -106,16 +107,15 @@ def _words_over(ngens, length):
             yield rest + (k,)
 
 
-def _search(source, target):
+def _search(source_data, target_data):
     """Backtracking over generator images; yields full image maps."""
+    source, target = source_data.group, target_data.group
     gens, _ = greedy_generating_set(source)
     if not gens:
         if target.n == 1:
             yield [0]
         return
     tree, edges = _bfs_edges(source, gens)
-    source_data = _CandidateData(source)
-    target_data = _CandidateData(target)
     candidate_lists = []
     for g in gens:
         order, size = source_data.invariant(g)
@@ -190,42 +190,45 @@ class Isomorphism:
         return list(self.mapping)
 
 
-def _prescreen(g, h) -> bool:
-    if g.n != h.n:
-        return False
-    if sorted(g.element_orders()) != sorted(h.element_orders()):
-        return False
-    g_classes = sorted(len(c) for c in conjugacy_classes(g))
-    h_classes = sorted(len(c) for c in conjugacy_classes(h))
-    return g_classes == h_classes
+def _indexed(group):
+    return index_group(group) if isinstance(group, PermGroup) else group
 
 
-def are_isomorphic(g: PermGroup, h: PermGroup, cap: int = ISO_CAP):
-    """An Isomorphism g -> h, or None (definitive at these sizes)."""
-    if g.order() != h.order():
+def _order(group) -> int:
+    return group.order() if isinstance(group, PermGroup) else group.n
+
+
+def are_isomorphic(g, h, cap: int = ISO_CAP):
+    """An Isomorphism g -> h, or None (definitive at these sizes).  Each
+    argument is a PermGroup or an already-indexed group."""
+    order = _order(g)
+    if order != _order(h):
         return None
-    if g.order() > cap:
-        raise ValueError("isomorphism cap %d exceeded: order %d" % (cap, g.order()))
-    gi = index_group(g)
-    hi = index_group(h)
-    if not _prescreen(gi, hi):
+    if order > cap:
+        raise ValueError("isomorphism cap %d exceeded: order %d" % (cap, order))
+    gi, hi = _indexed(g), _indexed(h)
+    if sorted(gi.element_orders()) != sorted(hi.element_orders()):
         return None
-    for mapping in _search(gi, hi):
+    g_data, h_data = _CandidateData(gi), _CandidateData(hi)
+    if sorted(map(len, g_data.classes)) != sorted(map(len, h_data.classes)):
+        return None
+    for mapping in _search(g_data, h_data):
         return Isomorphism(gi, hi, mapping)
     return None
 
 
-def automorphisms(indexed: CayleyIndexedGroup, cap: int = AUT_CAP):
+def automorphisms(indexed, cap: int = AUT_CAP):
     """All automorphisms of an indexed group, as index maps (sorted)."""
     if indexed.n > cap:
         raise ValueError("automorphism cap %d exceeded: order %d" % (cap, indexed.n))
-    maps = sorted(tuple(m) for m in _search(indexed, indexed))
+    data = _CandidateData(indexed)
+    maps = sorted(tuple(m) for m in _search(data, data))
     return [list(m) for m in maps]
 
 
-def automorphism_group(g: PermGroup, cap: int = AUT_CAP) -> PermGroup:
+def automorphism_group(g, cap: int = AUT_CAP) -> PermGroup:
     """Aut(G) as a permutation group on the element indices of index_group(G)."""
-    indexed = g if isinstance(g, CayleyIndexedGroup) else index_group(g)
+    indexed = _indexed(g)
     maps = automorphisms(indexed, cap=cap)
     perms = [Permutation(m) for m in maps]
     non_trivial = [p for p in perms if not p.is_identity()]

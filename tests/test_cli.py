@@ -129,6 +129,17 @@ def test_psu42_verify_command(capsys):
     assert result["group_order"] == 25920
 
 
+@pytest.mark.parametrize("argv", [
+    ["psl2-check", "--q", "6"],
+    ["psl2-check", "--q", "2"],
+    ["alt-check", "--n", "4"],
+])
+def test_bad_check_argument_is_usage_error(argv, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_alt_check_command(capsys):
     code, out = run_cli(capsys, "alt-check", "--n", "20")
     assert code == 0
@@ -193,3 +204,13 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
     # the recomputed result replaced the broken entry, and no partial file is left
     assert [p.name for p in cache_dir.iterdir()] == [entry.name]
     assert json.loads(entry.read_text())["document"] == cold
+
+
+def test_cache_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    code = main(["--cache-dir", str(not_a_dir), "structure", "--group", "C4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -33,6 +33,14 @@ GOLDEN = [
      "88ff4bb9bdda4739173ef49b48a4c8e28249d9875a84cb260d9872f7acc8d428"),
     (["enumerate-regular", "--g", "C4", "--candidates", "C4,E(2,2)"],
      "7de1b1a51dbb6efafa56dc8d32cd316f11ef28c595131552a06fd4c622d031a8"),
+    (["count-hgs", "--gamma", "D8", "--g", "E(2,3)"],
+     "4c6e445b2f399eb701517b91a516fc6b3335b9e4af8047368995fccb0db51071"),
+    (["count-hgs", "--gamma", "A4", "--g", "A4"],
+     "15451aa73b00cf1ed3d862c8ec0b6f272bfdd5012278f508c4e283cb147e7e33"),
+    (["enumerate-regular", "--g", "D8", "--candidates", "C8,D8,E(2,3),C2xC4"],
+     "d061e909f6875deda9b565ed12c85ec1f832570016ea9adfd6e2cd5c5d838f72"),
+    (["delta-p", "--g", "C2xC4", "--p", "2", "--all-embeddings"],
+     "033874bae3b5da747eea493bbdf591d80ae57024493b918aeb00f52265284674"),
 ]
 
 

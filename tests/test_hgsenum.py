@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from hgl import hgsenum
 from hgl.catalog import build_group
+from hgl.cayley import regular_table
 from hgl.hgsenum import (
     BudgetExceeded,
     ComplementaryPair,
@@ -13,7 +15,7 @@ from hgl.hgsenum import (
 )
 from hgl.holomorph import RegularEmbedding, hol_context, hol_group, lambda_embedding
 from hgl.isoaut import are_isomorphic
-from hgl.perm import Permutation, PermGroup
+from hgl.perm import Permutation, PermGroup, tmul
 
 from oracles import regular_subgroups_brute
 
@@ -46,8 +48,9 @@ def test_lambda_always_appears_and_all_regular():
         records = enumerate_regular_subgroups(spec)
         assert any(r.elements == lam_elements for r in records), spec
         for record in records:
-            group_n = record.permutation_group()
-            assert group_n.is_regular()
+            identity = tuple(range(len(record.elements)))
+            gens = [p for p in record.elements if p != identity]
+            assert PermGroup(gens, degree=len(identity)).is_regular()
 
 
 def test_enumeration_matches_brute_lattice_oracle():
@@ -109,6 +112,50 @@ def test_byott_crosscheck_formula():
 def test_count_hgs_order_mismatch():
     with pytest.raises(ValueError):
         count_hgs("C4", "C6")
+
+
+def test_count_cap_checked_before_automorphisms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphisms computed before the cap check")
+
+    monkeypatch.setattr(hgsenum, "automorphism_group", refuse)
+    monkeypatch.setattr(hgsenum, "automorphisms", refuse)
+    with pytest.raises(ValueError, match="enumeration cap 60 exceeded"):
+        count_hgs("E(2,6)", "E(2,6)")
+
+
+TYPES_OF_ORDER = {
+    6: ["C6", "S3"],
+    8: ["C8", "D8", "E(2,3)", "C2xC4"],
+    12: ["C12", "D12", "A4", "C2xC6"],
+}
+
+
+@pytest.mark.parametrize("spec", ["C6", "S3", "D8", "C2xC4", "E(2,3)", "A4", "D12"])
+def test_regular_table_matches_permutation_group_path(spec):
+    # differential test: the Cayley table read off the elements against the
+    # PermGroup of all non-identity elements that the isomorphism tests used
+    types = [build_group(t) for t in TYPES_OF_ORDER[build_group(spec).order()]]
+    for record in enumerate_regular_subgroups(spec):
+        table = regular_table(record.elements)
+        rows = table.elements
+        n = len(rows)
+        assert table.mult(0, 0) == 0 and sorted(rows) == list(record.elements)
+        for a in range(n):
+            for b in range(n):
+                assert rows[table.mult(a, b)] == tmul(rows[a], rows[b])
+        identity = tuple(range(n))
+        group = PermGroup([p for p in record.elements if p != identity], degree=n)
+        for x in types:
+            assert (are_isomorphic(table, x) is None) == (are_isomorphic(group, x) is None)
+
+
+def test_partial_element_list_rejected():
+    elements = enumerate_regular_subgroups("C6")[0].elements
+    with pytest.raises(ValueError):
+        regular_table(elements[:3])
+    with pytest.raises(ValueError):
+        RegularEmbedding.from_subgroup(hol_context(build_group("C6")), elements[1:])
 
 
 def test_budget_exhaustion_is_loud():

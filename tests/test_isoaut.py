@@ -2,6 +2,7 @@ import pytest
 
 from hgl.catalog import build_group
 from hgl.cayley import index_group
+from hgl import isoaut
 from hgl.isoaut import (
     are_isomorphic,
     automorphism_group,
@@ -104,3 +105,19 @@ def test_general_path_agrees_with_catalog():
 
     for spec in ["A5", "PSL(2,7)", "A6"]:
         assert automorphism_group(build_group(spec)).order() == known_aut_group(spec).order()
+
+
+def test_conjugacy_classes_computed_once_per_group(monkeypatch):
+    real = isoaut.conjugacy_classes
+    calls = []
+
+    def counting(group):
+        calls.append(group)
+        return real(group)
+
+    monkeypatch.setattr(isoaut, "conjugacy_classes", counting)
+    assert are_isomorphic(build_group("A5"), build_group("PSL(2,5)")) is not None
+    assert len(calls) == 2
+    calls.clear()
+    assert len(automorphisms(index_group(build_group("A5")))) == 120
+    assert len(calls) == 1
