@@ -6,9 +6,10 @@ byte-identical; human-readable logs and wall time go to stderr.  Exit codes:
 0 pass/success, 1 verification failure, 2 usage error, 3 budget exhaustion.
 
 Results are cached as content-addressed JSON files keyed by (command,
-canonical inputs, tool version) under --cache-dir or $HGL_CACHE_DIR; entries
-written by other tool versions are ignored, and unreadable entries are misses
-(with a warning on stderr).  Entries are written whole or not at all.
+canonical inputs, tool version, sha256 of the package sources) under
+--cache-dir or $HGL_CACHE_DIR; entries written by another tool version or
+other source code are ignored, and unreadable entries are misses (with a
+warning on stderr).  Entries are written whole or not at all.
 """
 
 from __future__ import annotations
@@ -69,15 +70,29 @@ def _canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def source_digest() -> str:
+    """sha256 over the name and sha256 of every .py file of the package."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                content = hashlib.sha256(handle.read()).hexdigest()
+            digest.update(("%s %s\n" % (name, content)).encode())
+    return digest.hexdigest()
+
+
 class Cache:
     def __init__(self, directory: str | None):
         self.directory = directory
+        self.source = None  # hashed only when there is a cache to read
         if directory:
             os.makedirs(directory, exist_ok=True)
+            self.source = source_digest()
 
     def key(self, command: str, inputs: dict) -> str:
         blob = _canonical_json(
-            {"command": command, "inputs": inputs, "version": __version__}
+            {"command": command, "inputs": inputs, "version": __version__, "source": self.source}
         )
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -99,7 +114,7 @@ class Cache:
         ):
             print("warning: ignoring unreadable cache entry %s" % path, file=sys.stderr)
             return None
-        if record.get("version") != __version__:
+        if record.get("version") != __version__ or record.get("source") != self.source:
             return None
         return record
 
@@ -283,7 +298,7 @@ def _cmd_an_gen(args):
     embedding = an_gen_embedding(args.n)
     payload = {
         "n": args.n,
-        "gamma_order": embedding.source.order(),
+        "gamma_order": embedding.certificate["source_order"],
         "certificate": embedding.certificate,
     }
     return payload, embedding.certificate["regular"], True
@@ -503,6 +518,7 @@ def main(argv=None) -> int:
         key,
         {
             "version": __version__,
+            "source": cache.source,
             "command": args.command,
             "inputs": inputs,
             "complete": complete,

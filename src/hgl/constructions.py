@@ -41,8 +41,9 @@ class FpfPair:
     """Two homomorphisms gamma -> G agreeing only at the identity.
 
     Homomorphisms are given by generator images (element indices of the
-    indexed target); construction verifies the homomorphism law on every
-    Cayley edge of gamma and the fixed-point-free condition exhaustively.
+    indexed target); construction verifies the homomorphism law exhaustively
+    (see holomorph.homomorphism_map) and the fixed-point-free condition on
+    every element.
     """
 
     def __init__(self, gamma: PermGroup, target_ctx: HolContext, images1, images2):

@@ -14,9 +14,12 @@ lookups instead of repeated 20160-entry array compositions.
 
 A regular embedding Gamma -> Hol(G) is stored as generator images.  Its
 verification is exact, not sampled: the images are propagated over the whole
-Cayley graph of Gamma and every edge is checked, which proves the homomorphism
-law, and the orbit of the identity index has size |G| iff the image is regular
-(the image order is at most |Gamma| = |G| and at least the orbit size).
+Cayley graph of Gamma with respect to a generating subset of the generators,
+and every edge of that graph is checked, which proves the homomorphism law on
+the subset; the image of every other generator is compared with the map's
+value on it.  The map's values then give the orbit of the identity index
+([g, alpha] . 0 = g), which has size |G| iff the image is regular (the image
+order is at most |Gamma| = |G| and at least the orbit size).
 """
 
 from __future__ import annotations
@@ -184,33 +187,47 @@ def hol_group(group: PermGroup, aut_group: PermGroup | None = None, cap: int = 1
     return result
 
 
-def homomorphism_map(source: PermGroup, gen_images, mult, identity) -> dict:
+def homomorphism_map(source: PermGroup, gen_images, mult, identity, cap: int | None = None) -> dict:
     """A homomorphism from source, given by one image per generator, on every
     element: a dict perm-tuple -> image.  mult and identity are the target's.
 
-    Built by BFS over the source Cayley graph; every non-tree edge is
-    checked, so success proves the homomorphism law exhaustively.
+    Built by BFS over the Cayley graph of a generating subset.  Generators are
+    taken in order: one already in the map only has its image compared with
+    the map's value; any other is kept and extends the BFS, which checks the
+    old elements against it and each new element against every kept
+    generator.  So every edge of the kept generators is checked once, and
+    success proves the homomorphism law exhaustively.  The map's domain is
+    the source group itself; past cap elements the BFS stops (ValueError).
     """
     gen_images = list(gen_images)
     if len(gen_images) != len(source.generators):
         raise ValueError("need one image per generator")
-    gens = [(g.images, image) for g, image in zip(source.generators, gen_images)]
     start = tidentity(source.degree)
     mapping = {start: identity}
     queue = [start]
-    for current in queue:  # the queue grows while it is read: BFS order
-        image = mapping[current]
-        for gen_perm, gen_image in gens:
-            product = tmul(current, gen_perm)
-            product_image = mult(image, gen_image)
-            known = mapping.get(product)
-            if known is None:
-                mapping[product] = product_image
-                queue.append(product)
-            elif known != product_image:
+    kept = []
+    for gen, gen_image in zip(source.generators, gen_images):
+        known = mapping.get(gen.images)
+        if known is not None:
+            if known != gen_image:
                 raise ValueError("generator images do not define a homomorphism")
-    if len(mapping) != source.order():
-        raise ValueError("generator images do not define a homomorphism")
+            continue
+        kept.append((gen.images, gen_image))
+        newest = kept[-1:]
+        old = len(queue)
+        for position, current in enumerate(queue):  # the queue grows while it is read
+            image = mapping[current]
+            for gen_perm, image_of_gen in newest if position < old else kept:
+                product = tmul(current, gen_perm)
+                product_image = mult(image, image_of_gen)
+                known = mapping.get(product)
+                if known is None:
+                    if cap is not None and len(mapping) >= cap:
+                        raise ValueError("embedding map cap %d exceeded" % cap)
+                    mapping[product] = product_image
+                    queue.append(product)
+                elif known != product_image:
+                    raise ValueError("generator images do not define a homomorphism")
     return mapping
 
 
@@ -241,30 +258,15 @@ class RegularEmbedding:
         """beta on every element of Gamma: a dict perm-tuple -> hol pair
         (see homomorphism_map)."""
         if self._map is None:
-            source_order = self.source.order()
-            if source_order > cap:
-                raise ValueError(
-                    "embedding map cap %d exceeded: order %d" % (cap, source_order)
-                )
             self._map = homomorphism_map(
-                self.source, self.images, self.ctx.mult, self.ctx.identity
+                self.source, self.images, self.ctx.mult, self.ctx.identity, cap=cap
             )
         return self._map
 
     def image_orbit_size(self) -> int:
-        """Size of the orbit of the identity index under the image generators."""
-        ctx = self.ctx
-        seen = {0}
-        queue = [0]
-        images = self.images + [ctx.inv(x) for x in self.images]
-        while queue:
-            t = queue.pop()
-            for x in images:
-                u = ctx.act(x, t)
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen)
+        """Size of the orbit of the identity index under the image, read off
+        the map: [g, alpha] . 0 = g."""
+        return len({g for g, _ in self.full_map().values()})
 
     def verify(self, cap: int = 10**5) -> dict:
         """Prove the homomorphism law and regularity; returns the certificate.
@@ -272,13 +274,12 @@ class RegularEmbedding:
         Regularity argument: |image| <= |Gamma| always, and |image| >= orbit
         size of the identity point; with |Gamma| = |G| = n and orbit size n the
         image is transitive of order exactly n, hence regular, and beta is
-        injective.
+        injective.  |Gamma| is the size of the map's domain.
         """
         if self.certificate is not None:
             return self.certificate
         n = self.ctx.n
-        source_order = self.source.order()
-        self.full_map(cap=cap)  # raises if not a homomorphism
+        source_order = len(self.full_map(cap=cap))  # raises if not a homomorphism
         orbit = self.image_orbit_size()
         regular = source_order == n and orbit == n
         self.certificate = {

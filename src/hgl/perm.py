@@ -12,6 +12,7 @@ import itertools
 import re
 from functools import reduce
 from math import lcm
+from operator import itemgetter
 
 
 class Permutation:
@@ -144,7 +145,9 @@ class Permutation:
 
 def tmul(p, q):
     """Compose image tuples: (p*q)[t] = p[q[t]]."""
-    return tuple(p[t] for t in q)
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    return tuple(p[t] for t in q)  # itemgetter of one index returns a scalar
 
 
 def tinv(p):
@@ -285,6 +288,7 @@ class PermGroup:
         self.generators = tuple(kept)
         self._chain = None
         self._order = None
+        self._nilpotent = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -435,19 +439,22 @@ class PermGroup:
     def is_nilpotent(self, cap: int = 10**6) -> bool:
         if self.order() > cap:
             raise ValueError("nilpotency cap %d exceeded: order %d" % (cap, self.order()))
-        current = self
-        while current.order() > 1:
-            commutators = []
-            for a in self.generators:
-                for b in current.generators:
-                    c = a.inverse() * b.inverse() * a * b
-                    if not c.is_identity():
-                        commutators.append(c)
-            lower = self.normal_closure(commutators)
-            if lower.order() == current.order():
-                return False
-            current = lower
-        return True
+        if self._nilpotent is None:
+            # the lower central series either reaches 1 or stalls above it
+            current = self
+            while current.order() > 1:
+                commutators = []
+                for a in self.generators:
+                    for b in current.generators:
+                        c = a.inverse() * b.inverse() * a * b
+                        if not c.is_identity():
+                            commutators.append(c)
+                lower = self.normal_closure(commutators)
+                if lower.order() == current.order():
+                    break
+                current = lower
+            self._nilpotent = current.order() == 1
+        return self._nilpotent
 
     # -- element enumeration --------------------------------------------------
 

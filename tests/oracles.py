@@ -2,7 +2,9 @@
 
 These deliberately share no code path with the library's searches: subgroups
 come from exhaustive lattice growth over explicit element lists, and the
-abelian maximum scans that lattice.  Desk scale only.
+abelian maximum scans that lattice.  The embedding oracles check the Cayley
+edge of every element for every generator, and find the orbit of the
+identity index by a BFS over the action.  Desk scale only.
 """
 
 from hgl.perm import tidentity, tmul
@@ -80,3 +82,41 @@ def max_abelian_brute(elements, degree, order_cap=10**6):
         if abelian:
             best = max(best, len(members))
     return best
+
+
+def homomorphism_map_all_generators(source, gen_images, mult, identity):
+    """The homomorphism given by generator images, by a BFS that checks the
+    Cayley edge of every element for every generator (ValueError if the
+    images do not define a homomorphism)."""
+    gens = [(g.images, image) for g, image in zip(source.generators, gen_images)]
+    start = tidentity(source.degree)
+    mapping = {start: identity}
+    queue = [start]
+    for current in queue:
+        image = mapping[current]
+        for gen_perm, gen_image in gens:
+            product = tmul(current, gen_perm)
+            product_image = mult(image, gen_image)
+            known = mapping.get(product)
+            if known is None:
+                mapping[product] = product_image
+                queue.append(product)
+            elif known != product_image:
+                raise ValueError("generator images do not define a homomorphism")
+    return mapping
+
+
+def image_orbit_size_bfs(ctx, images):
+    """Orbit size of the identity index under hol pairs and their inverses,
+    by a BFS over the action."""
+    seen = {0}
+    queue = [0]
+    moves = list(images) + [ctx.inv(x) for x in images]
+    while queue:
+        t = queue.pop()
+        for x in moves:
+            u = ctx.act(x, t)
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen)

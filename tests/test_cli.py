@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hgl import cli
 from hgl.cli import main
 
 
@@ -189,6 +190,30 @@ def test_stale_version_cache_ignored(tmp_path, capsys):
     code, out = run_cli(capsys, "--cache-dir", str(cache_dir), "psl2-check", "--q", "8")
     assert code == 0
     assert json.loads(out)["result"]["pass"] is True
+
+
+def test_other_source_hash_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache_dir), "psl2-check", "--q", "8"]
+    run_cli(capsys, *argv)
+    entry = next(cache_dir.glob("*.json"))
+    record = json.loads(entry.read_text())
+    assert record["source"] == cli.source_digest()
+    # an entry recorded under other sources, at this key: a miss
+    record["source"] = "0" * 64
+    record["document"] = record["document"].replace('"pass":true', '"pass":false')
+    assert '"pass":false' in record["document"]
+    entry.write_text(json.dumps(record))
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "cache hit" not in captured.err
+    assert json.loads(captured.out)["result"]["pass"] is True
+    assert json.loads(entry.read_text())["source"] == cli.source_digest()
+    # changed sources give another key, so the old entry is not read
+    monkeypatch.setattr(cli, "source_digest", lambda: "1" * 64)
+    assert main(argv) == 0
+    assert "cache hit" not in capsys.readouterr().err
+    assert len(list(cache_dir.glob("*.json"))) == 2
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):

@@ -2,16 +2,20 @@ import pytest
 
 from hgl.catalog import build_group
 from hgl.cayley import index_group, regular_permutation_group
+from hgl.constructions import an_gen_embedding, untangle_embedding
+from hgl.hgsenum import ComplementaryPair, find_complement
 from hgl.holomorph import (
     RegularEmbedding,
     conjugation_aut,
     hol_context,
     hol_group,
+    homomorphism_map,
     lambda_embedding,
     rho_embedding,
 )
 from hgl.isoaut import automorphisms
-from hgl.perm import tuple_order
+from hgl.perm import PermGroup, Permutation, brute_closure, tuple_order
+from oracles import homomorphism_map_all_generators, image_orbit_size_bfs
 
 
 def test_index_group_shapes():
@@ -177,3 +181,93 @@ def test_regular_permutation_group_roundtrip():
     regular = regular_permutation_group(indexed)
     assert regular.order() == 6
     assert regular.is_regular()
+
+
+# -- the generating-subset walk against the all-generator BFS ------------------
+
+
+def _all_elements_source(ctx):
+    """G generated by all n - 1 of its non-identity elements."""
+    return PermGroup(ctx.group.elements[1:], degree=ctx.group.source.degree)
+
+
+def _complementary_untangle(spec):
+    group = build_group(spec)
+    h = group.point_stabilizer(0)  # Schreier generators, some of them redundant
+    return untangle_embedding(ComplementaryPair(group, h, find_complement(group, h)))
+
+
+def _differential_cases():
+    s3 = build_group("S3")
+    yield "untangle S3", untangle_embedding(ComplementaryPair(
+        s3, PermGroup([Permutation.parse("(0 1)", 3)]), PermGroup([Permutation.parse("(0 1 2)", 3)])
+    ))
+    for spec in ("S4", "S5"):
+        yield "untangle %s over its point stabilizer" % spec, _complementary_untangle(spec)
+    for n in (4, 5):  # n = 6 is 2 mod 4: A5 has no complement in A6
+        yield "an_gen %d" % n, an_gen_embedding(n)
+    for spec in ("S3", "D8", "A4", "C2xC4"):
+        ctx = hol_context(build_group(spec))
+        source = _all_elements_source(ctx)
+        yield "lambda %s, all elements" % spec, lambda_embedding(ctx, source)
+        yield "rho %s, all elements" % spec, rho_embedding(ctx, source)
+
+
+def _greedy_kept(source):
+    """The generators the walk keeps: each one outside the closure of the
+    ones kept before it."""
+    kept, closure = [], {tuple(range(source.degree))}
+    for gen in source.generators:
+        if gen.images not in closure:
+            kept.append(gen.images)
+            closure = brute_closure(kept)
+    return kept
+
+
+@pytest.mark.parametrize("name,emb", list(_differential_cases()))
+def test_generating_subset_walk_matches_all_generator_bfs(name, emb):
+    ctx = emb.ctx
+    calls = []
+
+    def counted_mult(x, y):
+        calls.append(None)
+        return ctx.mult(x, y)
+
+    expected = homomorphism_map_all_generators(emb.source, emb.images, ctx.mult, ctx.identity)
+    mapping = homomorphism_map(emb.source, emb.images, counted_mult, ctx.identity)
+    assert mapping == expected
+    assert emb.full_map() == expected
+    assert emb.image_orbit_size() == image_orbit_size_bfs(ctx, emb.images)
+    assert emb.verify()["source_order"] == len(expected)
+    # every (element, kept generator) edge is checked exactly once
+    assert len(calls) == len(expected) * len(_greedy_kept(emb.source))
+
+
+def test_redundant_generators_are_dropped():
+    ctx = hol_context(build_group("D8"))
+    source = _all_elements_source(ctx)
+    assert len(source.generators) == 7 and len(_greedy_kept(source)) == 2
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "A4"])
+def test_wrong_image_on_dropped_or_kept_generator_rejected(spec):
+    ctx = hol_context(build_group(spec))
+    source = _all_elements_source(ctx)
+    images = lambda_embedding(ctx, source).images
+    kept = _greedy_kept(source)
+    positions = [i for i, g in enumerate(source.generators) if g.images not in kept]
+    positions.append(0)  # the first generator is always kept
+    for position in positions:
+        wrong = list(images)
+        wrong[position] = ctx.identity  # lambda(g) for g != 1 is not the identity
+        with pytest.raises(ValueError, match="do not define a homomorphism"):
+            homomorphism_map(source, wrong, ctx.mult, ctx.identity)
+        with pytest.raises(ValueError):
+            homomorphism_map_all_generators(source, wrong, ctx.mult, ctx.identity)
+
+
+def test_embedding_map_cap():
+    ctx = hol_context(build_group("S3"))
+    with pytest.raises(ValueError, match="embedding map cap 5 exceeded"):
+        lambda_embedding(ctx).verify(cap=5)
+    assert lambda_embedding(ctx).verify(cap=6)["source_order"] == 6

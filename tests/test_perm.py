@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hgl.perm import (
     Permutation,
@@ -12,6 +13,7 @@ from hgl.perm import (
     is_regular,
     is_semiregular,
     sylow_subgroup,
+    tmul,
 )
 
 
@@ -166,6 +168,16 @@ def test_solubility_and_nilpotency():
     assert d8.is_nilpotent()
 
 
+def test_nilpotency_is_memoized(monkeypatch):
+    s4 = group_from_generators([perm("(0 1)", 4), perm("(0 1 2 3)", 4)])
+    c8 = group_from_generators([perm("(0 1 2 3 4 5 6 7)", 8)])
+    assert not s4.is_nilpotent() and c8.is_nilpotent()
+    monkeypatch.setattr(PermGroup, "normal_closure", lambda *args: pytest.fail("recomputed"))
+    assert not s4.is_nilpotent() and c8.is_nilpotent()
+    with pytest.raises(ValueError, match="nilpotency cap 7 exceeded"):
+        c8.is_nilpotent(cap=7)
+
+
 def test_direct_product():
     a4 = group_from_generators([perm("(0 1 2)", 4), perm("(0 1)(2 3)", 4)])
     c5 = group_from_generators([perm("(0 1 2 3 4)", 5)])
@@ -183,3 +195,18 @@ def test_elements_enumeration_deterministic():
     assert first == second
     assert first[0] == (0, 1, 2)
     assert len(first) == 6
+
+
+def _permutation_pairs(degree):
+    images = st.permutations(range(degree)).map(tuple)
+    return st.tuples(images, images)
+
+
+@given(st.integers(1, 64).flatmap(_permutation_pairs))
+def test_tmul_is_composition(pair):
+    p, q = pair
+    assert tmul(p, q) == tuple(p[t] for t in q)
+
+
+def test_tmul_degree_one():
+    assert tmul((0,), (0,)) == (0,)
