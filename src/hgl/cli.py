@@ -169,7 +169,7 @@ def _cmd_delta_p(args):
     ctx = hol_context(group)
     reports = []
     if args.all_embeddings:
-        records = enumerate_regular_subgroups(args.g, budget=args.budget)
+        records = enumerate_regular_subgroups(ctx, budget=args.budget)
         for record in records:
             embedding = RegularEmbedding.from_subgroup(ctx, record.elements)
             witness = delta_p(embedding, args.p)

@@ -12,6 +12,15 @@ fixed point.  States are deduplicated by their element sets, results when
 A regular subgroup is its own Cayley table: its elements, indexed by their
 image of 0, are the rows of its multiplication table (cayley.regular_table).
 
+Aut(G) conjugation permutes the regular subgroups of Hol(G) and fixes the
+point 0, so the search breaks that symmetry at its root: every regular R has
+exactly one element h with h(0) = 1, the automorphisms fixing 1 permute
+those h by conjugation, and the search branches only over the least h of
+each such orbit.  Every regular subgroup is then an Aut(G)-conjugate of one
+that is found, and a BFS over the Aut(G) generators rebuilds the full list,
+equal to the unreduced search's.  Conjugation maps a point-indexed element
+tuple to a point-indexed tuple, so the rebuild needs no sort.
+
 Counting Hopf-Galois structures of type G on Gamma-extensions then means:
 collect the regular subgroups isomorphic to Gamma, expand each into all
 |Aut(Gamma)| regular embeddings, and count orbits of the Aut(G)-conjugation
@@ -25,6 +34,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .catalog import build_group
 from .cayley import greedy_generating_set, index_group, regular_table
@@ -133,25 +143,34 @@ def regular_subgroups_of_elements(
     candidate_buckets,
     n: int,
     budget: int = DEFAULT_BUDGET,
+    symmetry: PermGroup | None = None,
 ):
     """All regular (order n, semiregular, transitive) subgroups generable from
     the candidate buckets, as sorted element tuples.  Complete whenever the
-    buckets contain every semiregular element of the ambient group."""
+    buckets contain every semiregular element of the ambient group.
+
+    `symmetry` is an optional group of degree n that fixes 0 (ValueError
+    otherwise) and whose conjugation maps the candidates onto themselves, for
+    example Aut(G) inside Hol(G).  The root of the search branches over
+    bucket 1; a regular R holds exactly one element h with h(0) = 1, the
+    stabilizer of 1 in `symmetry` permutes bucket 1 by conjugation, and the
+    subtree under h finds every regular subgroup containing h.  So branching
+    only over the least element of each such orbit still reaches a conjugate
+    of every regular subgroup, and closing the results under conjugation by
+    `symmetry` gives the same list as the unreduced search.
+    """
     identity = tidentity(n)
     if n == 1:
         return [(identity,)]
+    if symmetry is not None and any(g.images[0] != 0 for g in symmetry.generators):
+        raise ValueError("the symmetry group must fix the point 0")
     results = []
     seen_states = set()
     nodes = 0
 
-    def orbit_of_zero(elements):
-        return {p[0] for p in elements}
-
-    def expand(elements, gens):
+    def expand(elements, gens, branches):
         nonlocal nodes
-        covered = orbit_of_zero(elements)
-        x = next(t for t in range(n) if t not in covered)
-        for h in candidate_buckets.get(x, ()):
+        for h in branches:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(nodes)
@@ -165,28 +184,110 @@ def regular_subgroups_of_elements(
             if len(new_elements) == n:
                 results.append(new_elements)
             else:
-                expand(new_elements, new_gens)
+                covered = {p[0] for p in new_elements}
+                x = next(t for t in range(n) if t not in covered)
+                expand(new_elements, new_gens, candidate_buckets.get(x, ()))
 
-    expand((identity,), [])
-    return sorted(results)
+    roots = candidate_buckets.get(1, ())
+    if symmetry is None:
+        expand((identity,), [], roots)
+        return sorted(results)
+    expand((identity,), [], _orbit_minima(roots, _conjugators(symmetry.point_stabilizer(1))))
+    return _conjugation_closure(results, symmetry)
+
+
+def _orbit_minima(items, maps):
+    """The least item of each orbit of the group generated by `maps`
+    (functions that must permute `items`; ValueError otherwise), in
+    increasing order."""
+    members = set(items)
+    seen = set()
+    minima = []
+    for item in sorted(members):
+        if item in seen:
+            continue
+        minima.append(item)
+        seen.add(item)
+        queue = [item]
+        for current in queue:  # the queue grows while it is read
+            for move in maps:
+                image = move(current)
+                if image not in seen:
+                    if image not in members:
+                        raise ValueError("conjugation leaves the set it acts on")
+                    seen.add(image)
+                    queue.append(image)
+    return minima
+
+
+def _conjugators(group: PermGroup):
+    """h -> theta h theta^-1 on permutation tuples, one per generator theta."""
+    return [
+        lambda h, theta=g.images, theta_inv=tinv(g.images): tmul(theta, tmul(h, theta_inv))
+        for g in group.generators
+    ]
+
+
+def _conjugation_closure(subgroups, group: PermGroup):
+    """Every conjugate of the given regular subgroups by `group` (which fixes
+    0), as sorted element tuples, sorted.
+
+    A sorted regular subgroup R is indexed by points, R[x](0) = x, and so is
+    its conjugate R' by theta: R'[theta(x)] = theta R[x] theta^-1.  With the
+    elements interned as ids, R' is R's id tuple read in the order theta^-1
+    and mapped through a memo of conjugation by theta, with no sort.
+    """
+    perms = []
+    ids = {}
+
+    def intern(p):
+        known = ids.get(p)
+        if known is None:
+            known = ids[p] = len(perms)
+            perms.append(p)
+        return known
+
+    def memoized(conjugate):
+        memo = {}
+
+        def conjugate_id(i):
+            j = memo.get(i)
+            if j is None:
+                j = memo[i] = intern(conjugate(perms[i]))
+            return j
+        return conjugate_id
+
+    moves = [
+        (itemgetter(*tinv(g.images)), memoized(conjugate))
+        for g, conjugate in zip(group.generators, _conjugators(group))
+    ]
+    found = {tuple(map(intern, elements)) for elements in subgroups}
+    queue = list(found)
+    for key in queue:  # the queue grows while it is read
+        for pick, conjugate_id in moves:
+            image = tuple(map(conjugate_id, pick(key)))
+            if image not in found:
+                found.add(image)
+                queue.append(image)
+    return sorted(tuple(map(perms.__getitem__, key)) for key in found)
 
 
 def enumerate_regular_subgroups(group, budget: int = DEFAULT_BUDGET, iso_candidates=()):
     """Complete, duplicate-free list of the regular subgroups of Hol(G).
 
-    `group` may be a PermGroup, a GroupSpec, or a spec string.  Each record
-    can be tagged with the first matching iso type from `iso_candidates`
-    (spec strings).
+    `group` may be a PermGroup, a GroupSpec, a spec string, or a HolContext
+    of G (which is then used as is).  Each record can be tagged with the
+    first matching iso type from `iso_candidates` (spec strings).
     """
     if isinstance(group, str) or hasattr(group, "kind"):
         group = build_group(group)
-    order = group.order()
+    order = group.n if isinstance(group, HolContext) else group.order()
     if order > ENUM_ORDER_CAP:
         raise ValueError("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, order))
-    ctx = hol_context(group)
-    aut_maps = [g.images for g in automorphism_group(ctx.group).elements()]
-    buckets = semiregular_element_buckets(ctx, aut_maps)
-    subgroups = regular_subgroups_of_elements(buckets, ctx.n, budget=budget)
+    ctx = group if isinstance(group, HolContext) else hol_context(group)
+    aut = automorphism_group(ctx.group)
+    buckets = semiregular_element_buckets(ctx, [g.images for g in aut.elements()])
+    subgroups = regular_subgroups_of_elements(buckets, ctx.n, budget=budget, symmetry=aut)
     # a candidate of another order never matches, so it is never indexed
     candidates = [(str(spec), build_group(spec)) for spec in iso_candidates]
     candidates = [(spec, index_group(c)) for spec, c in candidates if c.order() == order]
@@ -283,7 +384,9 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET) -> HgsCount:
         subgroup_sets = _regular_cyclic_subgroups(ctx, aut_g_maps)
     else:
         buckets = semiregular_element_buckets(ctx, aut_g_maps)
-        subgroup_sets = regular_subgroups_of_elements(buckets, ctx.n, budget=budget)
+        subgroup_sets = regular_subgroups_of_elements(
+            buckets, ctx.n, budget=budget, symmetry=aut_g
+        )
 
     # expand each subgroup N isomorphic to gamma into all regular embeddings
     # gamma -> N: one isomorphism composed with every automorphism of gamma
@@ -300,30 +403,16 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET) -> HgsCount:
         for aut_map in aut_gamma_maps:
             embeddings.add(tuple(table.elements[iso.mapping[aut_map[gen]]] for gen in gamma_gens))
 
-    # orbit count under Aut(G)-conjugation
-    theta_pairs = [
-        (p.images, tinv(p.images)) for p in aut_g.generators
-    ]
-    orbits = 0
-    reps = []
-    unvisited = set(embeddings)
-    while unvisited:
-        start = min(unvisited)
-        orbits += 1
-        reps.append(start)
-        queue = [start]
-        unvisited.discard(start)
-        while queue:
-            current = queue.pop()
-            for theta, theta_inv in theta_pairs:
-                conjugated = tuple(tmul(theta, tmul(p, theta_inv)) for p in current)
-                if conjugated in unvisited:
-                    unvisited.discard(conjugated)
-                    queue.append(conjugated)
+    # orbit count under Aut(G)-conjugation, one least representative each
+    reps = _orbit_minima(
+        embeddings,
+        [lambda images, c=c: tuple(map(c, images)) for c in _conjugators(aut_g)],
+    )
+    orbits = len(reps)
 
     crosscheck = Fraction(len(aut_gamma_maps) * f, len(aut_g_maps))
     witnesses = []
-    for rep in sorted(reps):
+    for rep in reps:
         images = [ctx.decode_perm(p) for p in rep]
         source = PermGroup(
             [Permutation(gamma_indexed.elements[gen]) for gen in gamma_gens],
@@ -388,11 +477,8 @@ def delta_p(embedding: RegularEmbedding, p: int) -> HallWitness:
     orders = ctx.group.element_orders()
     hp = {i for i in range(n) if orders[i] % p}
     beta = embedding.full_map()
-    delta = {
-        gamma_perm
-        for gamma_perm, image in beta.items()
-        if ctx.act(image, 0) in hp
-    }
+    # beta(gamma) . e_G = g for beta(gamma) = [g, alpha]
+    delta = {gamma_perm for gamma_perm, image in beta.items() if image[0] in hp}
     is_subgroup = all(tmul(a, b) in delta for a in delta for b in delta)
     non_identity = [Permutation(d) for d in sorted(delta) if d != tidentity(len(d))]
     gens = reduce_generators(non_identity, len(delta))

@@ -41,6 +41,10 @@ GOLDEN = [
      "d061e909f6875deda9b565ed12c85ec1f832570016ea9adfd6e2cd5c5d838f72"),
     (["delta-p", "--g", "C2xC4", "--p", "2", "--all-embeddings"],
      "033874bae3b5da747eea493bbdf591d80ae57024493b918aeb00f52265284674"),
+    (["enumerate-regular", "--g", "S3xS3"],
+     "e4fb17184a1f5a70ad3b0d2c4e975e54c43874014cc212d226ee35b47bb54a55"),
+    (["delta-p", "--g", "C2xC2xC4", "--p", "2", "--all-embeddings"],
+     "c8fdde4689e36d0a00d12017c7aeb73fa35db4c8c957ce34e61d70ee03fa1082"),
 ]
 
 

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgl import hgsenum
 from hgl.catalog import build_group
 from hgl.cayley import regular_table
+from hgl.cli import main
 from hgl.hgsenum import (
     BudgetExceeded,
     ComplementaryPair,
@@ -12,9 +14,11 @@ from hgl.hgsenum import (
     delta_p,
     enumerate_regular_subgroups,
     find_complement,
+    regular_subgroups_of_elements,
+    semiregular_element_buckets,
 )
 from hgl.holomorph import RegularEmbedding, hol_context, hol_group, lambda_embedding
-from hgl.isoaut import are_isomorphic
+from hgl.isoaut import are_isomorphic, automorphism_group
 from hgl.perm import Permutation, PermGroup, tmul
 
 from oracles import regular_subgroups_brute
@@ -63,6 +67,79 @@ def test_enumeration_matches_brute_lattice_oracle():
         brute = regular_subgroups_brute([p.images for p in hol.elements()], hol.degree)
         records = enumerate_regular_subgroups(spec)
         assert sorted(r.elements for r in records) == brute, spec
+
+
+# every catalog group of order <= 24 but E(2,4), whose unreduced search
+# alone takes minutes (criterion 05 covers it against the Hall property)
+CATALOG_UP_TO_24 = [
+    "C1", "C2", "C3", "C4", "E(2,2)", "C5", "C6", "S3", "C7", "C8", "C2xC4",
+    "E(2,3)", "D8", "C9", "E(3,2)", "C10", "D10", "C11", "C12", "C2xC6", "D12",
+    "A4", "C13", "C14", "D14", "C15", "C16", "C2xC8", "C4xC4", "C2xC2xC4",
+    "D8xC2", "D16", "C17", "C18", "C3xC6", "D18", "C3xS3", "C19", "C20",
+    "C2xC10", "D20", "C21", "F21", "C22", "D22", "C23", "C24", "C2xC12",
+    "C2xC2xC6", "S4", "A4xC2", "D24", "S3xC4", "D12xC2", "C3xD8",
+]
+
+
+def _hol_search_input(spec):
+    ctx = hol_context(build_group(spec))
+    aut = automorphism_group(ctx.group)
+    return semiregular_element_buckets(ctx, [g.images for g in aut.elements()]), ctx.n, aut
+
+
+@pytest.mark.parametrize("spec", CATALOG_UP_TO_24)
+def test_root_orbit_reduction_matches_unreduced_search(spec):
+    # differential test: the Aut(G)-reduced search plus the conjugation
+    # rebuild against the full backtrack over the same buckets
+    buckets, n, aut = _hol_search_input(spec)
+    reduced = regular_subgroups_of_elements(buckets, n, symmetry=aut)
+    assert reduced == regular_subgroups_of_elements(buckets, n)
+
+
+_SMALL_SPECS = ["C4", "E(2,2)", "C6", "S3", "C8", "C2xC4", "E(2,3)", "D8", "E(3,2)",
+                "D10", "C12", "C2xC6", "D12", "A4"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SMALL_SPECS), st.lists(st.integers(min_value=0), max_size=3))
+def test_any_subgroup_of_aut_is_a_valid_symmetry(spec, picks):
+    # every subgroup of Aut(G) fixes 0 and preserves the semiregular elements,
+    # so each one (the trivial group included) must give the unreduced list
+    buckets, n, aut = _hol_search_input(spec)
+    elements = aut.elements()
+    gens = [elements[i % len(elements)] for i in picks]
+    symmetry = PermGroup(gens, degree=n)
+    reduced = regular_subgroups_of_elements(buckets, n, symmetry=symmetry)
+    assert reduced == regular_subgroups_of_elements(buckets, n)
+
+
+def test_symmetry_moving_zero_rejected():
+    buckets, n, _ = _hol_search_input("C4")
+    translation = PermGroup([Permutation([1, 2, 3, 0])])
+    with pytest.raises(ValueError, match="fix the point 0"):
+        regular_subgroups_of_elements(buckets, n, symmetry=translation)
+
+
+def test_symmetry_leaving_the_candidates_rejected():
+    # (2 3) fixes 0 and 1 but does not normalize Hol(C4) = D8 on 4 points
+    buckets, n, _ = _hol_search_input("C4")
+    swap = PermGroup([Permutation([0, 1, 3, 2])])
+    with pytest.raises(ValueError, match="leaves the set"):
+        regular_subgroups_of_elements(buckets, n, symmetry=swap)
+
+
+def test_enumeration_accepts_a_hol_context():
+    ctx = hol_context(build_group("D8"))
+    records = enumerate_regular_subgroups(ctx)
+    assert [r.elements for r in records] == [r.elements for r in enumerate_regular_subgroups("D8")]
+    with pytest.raises(ValueError, match="enumeration cap 60 exceeded"):
+        enumerate_regular_subgroups(hol_context(build_group("C61")))
+
+
+def test_reduced_search_stops_on_budget(monkeypatch, capsys):
+    monkeypatch.delenv("HGL_CACHE_DIR", raising=False)
+    assert main(["--budget", "500", "enumerate-regular", "--g", "E(3,3)"]) == 3
+    assert "search budget exhausted" in capsys.readouterr().err
 
 
 COUNT_CASES = [
