@@ -7,6 +7,13 @@ each seed is extended inside the centralizer of the current subgroup, adding
 candidate elements in ascending order, with |centralizer| as the
 branch-and-bound upper bound.  Everything with a 3^(1/3) factor is compared
 after cubing, in exact integers.
+
+The search works on image tuples with the shared helpers of `perm`: the class
+representatives are the `orbit_minima` of the non-identity elements under
+generator conjugation, and every subgroup is the `brute_closure` of its
+generators.  It does not index the group (`structure.conjugacy_classes`
+would), because indexing builds a dense multiplication table for orders up
+to 1024, which costs more than the whole search on groups such as PSL(2,11).
 """
 
 from __future__ import annotations
@@ -15,7 +22,17 @@ from dataclasses import dataclass
 
 from .cayley import index_group, regular_permutation_group
 from .numtheory import prime_powers_up_to
-from .perm import PermGroup, Permutation, direct_product, tidentity, tinv, tmul
+from .perm import (
+    CapExceeded,
+    PermGroup,
+    Permutation,
+    brute_closure,
+    conjugators,
+    direct_product,
+    orbit_minima,
+    tidentity,
+    tmul,
+)
 from .structure import _quotient_table, is_simple_indexed
 
 ABELIAN_SEARCH_CAP = 50000
@@ -39,55 +56,15 @@ def max_abelian_order(group: PermGroup, cap: int = ABELIAN_SEARCH_CAP) -> Abelia
     """Exact a(G) = max order of an abelian subgroup, with a witness."""
     order = group.order()
     if order > cap:
-        raise ValueError("abelian search cap %d exceeded: order %d" % (cap, order))
+        raise CapExceeded("abelian search cap %d exceeded: order %d" % (cap, order))
     elements = sorted(g.images for g in group.elements(cap=cap))
     identity = tidentity(group.degree)
-    index_of = {p: i for i, p in enumerate(elements)}
-    gens = [g.images for g in group.generators]
 
     if order == 1 or group.is_abelian():
         return AbelianBoundResult(order, list(group.generators), order)
 
-    # conjugacy class representatives (orbits under generator conjugation)
-    gen_pairs = [(g, tinv(g)) for g in gens]
-    seen = set()
-    reps = []
-    for p in elements:
-        if p in seen or p == identity:
-            continue
-        orbit = {p}
-        queue = [p]
-        while queue:
-            x = queue.pop()
-            for g, g_inv in gen_pairs:
-                y = tmul(g, tmul(x, g_inv))
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        seen |= orbit
-        reps.append(min(orbit))
-
-    def cyclic_closure(p):
-        out = {identity}
-        power = p
-        while power != identity:
-            out.add(power)
-            power = tmul(power, p)
-        return out
-
-    def closure_with(a_set, c):
-        out = set(a_set)
-        frontier = [c]
-        while frontier:
-            x = frontier.pop()
-            if x in out:
-                continue
-            out.add(x)
-            for s in list(out):
-                for prod in (tmul(s, x), tmul(x, s)):
-                    if prod not in out:
-                        frontier.append(prod)
-        return out
+    # conjugacy class representatives; the identity is the least tuple
+    reps = orbit_minima(elements[1:], conjugators(group))
 
     best = {"value": 1, "witness": [identity]}
     visited = set()
@@ -101,7 +78,7 @@ def max_abelian_order(group: PermGroup, cap: int = ABELIAN_SEARCH_CAP) -> Abelia
         for c in centralizer:
             if c in a_set:
                 continue
-            extended = closure_with(a_set, c)
+            extended = brute_closure(a_gens + [c])
             key = frozenset(extended)
             if key in visited:
                 continue
@@ -112,7 +89,7 @@ def max_abelian_order(group: PermGroup, cap: int = ABELIAN_SEARCH_CAP) -> Abelia
             extend(extended, a_gens + [c], sub_centralizer)
 
     for rep in reps:
-        seed = cyclic_closure(rep)
+        seed = brute_closure([rep])
         key = frozenset(seed)
         if key in visited:
             continue

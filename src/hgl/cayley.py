@@ -10,7 +10,7 @@ without an n x n table in memory.
 
 from __future__ import annotations
 
-from .perm import PermGroup, Permutation, tidentity, tinv, tmul, tuple_order
+from .perm import CapExceeded, PermGroup, Permutation, tidentity, tinv, tmul, tuple_order
 
 DENSE_TABLE_MAX = 1024
 INDEX_CAP = 10**5
@@ -54,7 +54,7 @@ class CayleyIndexedGroup(_IndexedGroup):
     def __init__(self, source: PermGroup, cap: int = INDEX_CAP):
         order = source.order()
         if order > cap:
-            raise ValueError("indexing cap %d exceeded: order %d" % (cap, order))
+            raise CapExceeded("indexing cap %d exceeded: order %d" % (cap, order))
         self.source = source
         self.elements = [g.images for g in source.elements(cap=cap)]
         self.n = len(self.elements)

@@ -3,7 +3,8 @@
 Output contract: stdout carries a single JSON document (schema 1, keys
 sorted, no timing fields) so identical invocations with identical seeds are
 byte-identical; human-readable logs and wall time go to stderr.  Exit codes:
-0 pass/success, 1 verification failure, 2 usage error, 3 budget exhaustion.
+0 pass/success, 1 verification failure, 2 usage error, 3 budget exhaustion,
+4 input refused by a size cap (perm.CapExceeded).
 
 Results are cached as content-addressed JSON files keyed by (command,
 canonical inputs, tool version, sha256 of the package sources) under
@@ -50,7 +51,7 @@ from .lietables import (
     sweep_ineq3,
 )
 from .numtheory import prime_factors
-from .perm import PermGroup, sylow_subgroup
+from .perm import CapExceeded, PermGroup, sylow_subgroup
 from .structure import structure_report
 from .su42 import (
     action_on_planes,
@@ -500,6 +501,9 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except CapExceeded as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 4
     except (ValueError, NotImplementedError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

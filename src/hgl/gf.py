@@ -280,16 +280,10 @@ class MatrixGF:
             n >>= 1
         return result
 
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.field, list(zip(*self.rows)))
-
     def conj_transpose(self) -> "MatrixGF":
         """Transpose with the field involution applied entrywise."""
         f = self.field
         return MatrixGF(f, [[f.conj(x) for x in row] for row in zip(*self.rows)])
-
-    def map_entries(self, fn) -> "MatrixGF":
-        return MatrixGF(self.field, [[fn(x) for x in row] for row in self.rows])
 
     def det(self) -> int:
         f = self.field

@@ -21,6 +21,13 @@ that is found, and a BFS over the Aut(G) generators rebuilds the full list,
 equal to the unreduced search's.  Conjugation maps a point-indexed element
 tuple to a point-indexed tuple, so the rebuild needs no sort.
 
+A cyclic Gamma skips the backtrack: its regular subgroups are spanned by the
+n-cycles [g, alpha] of Hol(G).  Conjugation by theta in Aut(G) sends [g, alpha]
+to [theta(g), theta alpha theta^-1], so g walks one point per Aut(G)-orbit on
+G and the same conjugation closure rebuilds the full list.  The orbit
+representatives come from `perm.orbit_minima` and `perm.conjugators`, which
+also serve the root reduction and the count of embedding orbits.
+
 Counting Hopf-Galois structures of type G on Gamma-extensions then means:
 collect the regular subgroups isomorphic to Gamma, expand each into all
 |Aut(Gamma)| regular embeddings, and count orbits of the Aut(G)-conjugation
@@ -41,9 +48,12 @@ from .cayley import greedy_generating_set, index_group, regular_table
 from .holomorph import HolContext, RegularEmbedding, hol_context
 from .isoaut import are_isomorphic, automorphism_group, automorphisms
 from .perm import (
+    CapExceeded,
     PermGroup,
     Permutation,
+    conjugators,
     is_uniform_cycle_tuple,
+    orbit_minima,
     reduce_generators,
     tidentity,
     tinv,
@@ -87,12 +97,18 @@ def semiregular_element_buckets(ctx: HolContext, aut_maps):
     are exactly the fixed-point-free elements all of whose powers are
     fixed-point-free or trivial.
     """
-    buckets = {x: [] for x in range(1, ctx.n)}
-    for alpha in aut_maps:
-        for g in range(ctx.n):
-            perm = ctx.action_perm(g, alpha)
-            if perm[0] != 0 and is_uniform_cycle_tuple(perm):
-                buckets[perm[0]].append(perm)
+    return _bucket_semiregular(
+        (ctx.action_perm(g, alpha) for alpha in aut_maps for g in range(ctx.n)), ctx.n
+    )
+
+
+def _bucket_semiregular(perms, n):
+    """The uniform-cycle permutations among `perms` that move 0, bucketed by
+    their image of 0 (keys 1..n-1), each bucket sorted."""
+    buckets = {x: [] for x in range(1, n)}
+    for perm in perms:
+        if perm[0] != 0 and is_uniform_cycle_tuple(perm):
+            buckets[perm[0]].append(perm)
     for x in buckets:
         buckets[x].sort()
     return buckets
@@ -192,40 +208,8 @@ def regular_subgroups_of_elements(
     if symmetry is None:
         expand((identity,), [], roots)
         return sorted(results)
-    expand((identity,), [], _orbit_minima(roots, _conjugators(symmetry.point_stabilizer(1))))
+    expand((identity,), [], orbit_minima(roots, conjugators(symmetry.point_stabilizer(1))))
     return _conjugation_closure(results, symmetry)
-
-
-def _orbit_minima(items, maps):
-    """The least item of each orbit of the group generated by `maps`
-    (functions that must permute `items`; ValueError otherwise), in
-    increasing order."""
-    members = set(items)
-    seen = set()
-    minima = []
-    for item in sorted(members):
-        if item in seen:
-            continue
-        minima.append(item)
-        seen.add(item)
-        queue = [item]
-        for current in queue:  # the queue grows while it is read
-            for move in maps:
-                image = move(current)
-                if image not in seen:
-                    if image not in members:
-                        raise ValueError("conjugation leaves the set it acts on")
-                    seen.add(image)
-                    queue.append(image)
-    return minima
-
-
-def _conjugators(group: PermGroup):
-    """h -> theta h theta^-1 on permutation tuples, one per generator theta."""
-    return [
-        lambda h, theta=g.images, theta_inv=tinv(g.images): tmul(theta, tmul(h, theta_inv))
-        for g in group.generators
-    ]
 
 
 def _conjugation_closure(subgroups, group: PermGroup):
@@ -259,7 +243,7 @@ def _conjugation_closure(subgroups, group: PermGroup):
 
     moves = [
         (itemgetter(*tinv(g.images)), memoized(conjugate))
-        for g, conjugate in zip(group.generators, _conjugators(group))
+        for g, conjugate in zip(group.generators, conjugators(group))
     ]
     found = {tuple(map(intern, elements)) for elements in subgroups}
     queue = list(found)
@@ -283,7 +267,7 @@ def enumerate_regular_subgroups(group, budget: int = DEFAULT_BUDGET, iso_candida
         group = build_group(group)
     order = group.n if isinstance(group, HolContext) else group.order()
     if order > ENUM_ORDER_CAP:
-        raise ValueError("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, order))
+        raise CapExceeded("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, order))
     ctx = group if isinstance(group, HolContext) else hol_context(group)
     aut = automorphism_group(ctx.group)
     buckets = semiregular_element_buckets(ctx, [g.images for g in aut.elements()])
@@ -303,16 +287,21 @@ def enumerate_regular_subgroups(group, budget: int = DEFAULT_BUDGET, iso_candida
     return records
 
 
-def _regular_cyclic_subgroups(ctx: HolContext, aut_maps):
+def _regular_cyclic_subgroups(ctx: HolContext, aut_maps, aut: PermGroup):
     """Regular cyclic subgroups of Hol(G): spans of single n-cycles.  Complete
-    for cyclic Gamma without the general backtracking."""
+    for cyclic Gamma without the general backtracking.
+
+    Conjugation by theta in Aut(G) sends the n-cycle [g, alpha] to the n-cycle
+    [theta(g), theta alpha theta^-1], so g only walks one point per Aut(G)-orbit
+    and conjugation by `aut` rebuilds the full list.
+    """
     n = ctx.n
     if n == 1:
         return [(tidentity(1),)]
     group = ctx.group
-    found = {}
-    for alpha in aut_maps:
-        for g in range(1, n):
+    found = []
+    for g in orbit_minima(range(1, n), [theta.images.__getitem__ for theta in aut.generators]):
+        for alpha in aut_maps:
             # walk the cycle of 0 under t -> g*alpha(t); an n-cycle visits all
             point = 0
             length = 0
@@ -329,9 +318,8 @@ def _regular_cyclic_subgroups(ctx: HolContext, aut_maps):
             while power != elements[0]:
                 elements.append(power)
                 power = tmul(power, perm)
-            key = tuple(sorted(elements))
-            found.setdefault(key, key)
-    return sorted(found)
+            found.append(tuple(sorted(elements)))
+    return _conjugation_closure(found, aut)
 
 
 @dataclass
@@ -376,12 +364,12 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET) -> HgsCount:
     gamma_indexed = index_group(gamma)
     gamma_cyclic = _is_cyclic(gamma_indexed)
     if not gamma_cyclic and g.order() > ENUM_ORDER_CAP:
-        raise ValueError("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, g.order()))
+        raise CapExceeded("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, g.order()))
     ctx = hol_context(g)
     aut_g = automorphism_group(ctx.group)
     aut_g_maps = [p.images for p in aut_g.elements()]
     if gamma_cyclic:
-        subgroup_sets = _regular_cyclic_subgroups(ctx, aut_g_maps)
+        subgroup_sets = _regular_cyclic_subgroups(ctx, aut_g_maps, aut_g)
     else:
         buckets = semiregular_element_buckets(ctx, aut_g_maps)
         subgroup_sets = regular_subgroups_of_elements(
@@ -404,20 +392,19 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET) -> HgsCount:
             embeddings.add(tuple(table.elements[iso.mapping[aut_map[gen]]] for gen in gamma_gens))
 
     # orbit count under Aut(G)-conjugation, one least representative each
-    reps = _orbit_minima(
+    reps = orbit_minima(
         embeddings,
-        [lambda images, c=c: tuple(map(c, images)) for c in _conjugators(aut_g)],
+        [lambda images, c=c: tuple(map(c, images)) for c in conjugators(aut_g)],
     )
     orbits = len(reps)
 
     crosscheck = Fraction(len(aut_gamma_maps) * f, len(aut_g_maps))
+    source = PermGroup(
+        [Permutation(gamma_indexed.elements[gen]) for gen in gamma_gens], degree=gamma.degree
+    )
     witnesses = []
     for rep in reps:
         images = [ctx.decode_perm(p) for p in rep]
-        source = PermGroup(
-            [Permutation(gamma_indexed.elements[gen]) for gen in gamma_gens],
-            degree=gamma.degree,
-        )
         embedding = RegularEmbedding(source, ctx, images)
         embedding.verify()
         witnesses.append(embedding)
@@ -522,26 +509,20 @@ def find_complement(group: PermGroup, h, budget: int = DEFAULT_BUDGET):
         h = group.point_stabilizer(h)
     order = group.order()
     if order > COMPLEMENT_GROUP_CAP:
-        raise ValueError("group cap %d exceeded: order %d" % (COMPLEMENT_GROUP_CAP, order))
+        raise CapExceeded("group cap %d exceeded: order %d" % (COMPLEMENT_GROUP_CAP, order))
     if order % h.order():
         raise ValueError("|H| does not divide |G|")
     m = order // h.order()
     if m > ENUM_ORDER_CAP:
-        raise ValueError("index cap %d exceeded: index %d" % (ENUM_ORDER_CAP, m))
+        raise CapExceeded("index cap %d exceeded: index %d" % (ENUM_ORDER_CAP, m))
 
     coset_perm_of, kernel_free = _coset_action(group, h, m)
     if not kernel_free:
         raise ValueError("coset action is not faithful; complement search unsupported")
 
-    buckets = {x: [] for x in range(1, m)}
-    pullback = {}
-    for g_elem, image in coset_perm_of:
-        pullback.setdefault(image, g_elem)
-        if image[0] != 0 and is_uniform_cycle_tuple(image):
-            buckets[image[0]].append(image)
-    for x in buckets:
-        buckets[x].sort()
-    subgroups = regular_subgroups_of_elements(buckets, m, budget=budget)
+    # the coset images are distinct, since the action is faithful
+    pullback = {image: g_elem for g_elem, image in coset_perm_of}
+    subgroups = regular_subgroups_of_elements(_bucket_semiregular(pullback, m), m, budget=budget)
     if not subgroups:
         return None
     elements = subgroups[0]

@@ -25,7 +25,7 @@ order is at most |Gamma| = |G| and at least the orbit size).
 from __future__ import annotations
 
 from .cayley import CayleyIndexedGroup, greedy_generating_set, index_group, regular_table
-from .perm import PermGroup, Permutation, tidentity, tinv, tmul
+from .perm import CapExceeded, PermGroup, Permutation, tidentity, tinv, tmul
 
 
 class HolContext:
@@ -223,7 +223,7 @@ def homomorphism_map(source: PermGroup, gen_images, mult, identity, cap: int | N
                 known = mapping.get(product)
                 if known is None:
                     if cap is not None and len(mapping) >= cap:
-                        raise ValueError("embedding map cap %d exceeded" % cap)
+                        raise CapExceeded("embedding map cap %d exceeded" % cap)
                     mapping[product] = product_image
                     queue.append(product)
                 elif known != product_image:

@@ -11,7 +11,7 @@ map respecting all Cayley-graph edges is a homomorphism.
 from __future__ import annotations
 
 from .cayley import CayleyIndexedGroup, greedy_generating_set, index_group
-from .perm import PermGroup, Permutation, brute_closure, reduce_generators
+from .perm import CapExceeded, PermGroup, Permutation, brute_closure, reduce_generators
 from .structure import conjugacy_classes
 
 ISO_CAP = 10**4
@@ -205,7 +205,7 @@ def are_isomorphic(g, h, cap: int = ISO_CAP):
     if order != _order(h):
         return None
     if order > cap:
-        raise ValueError("isomorphism cap %d exceeded: order %d" % (cap, order))
+        raise CapExceeded("isomorphism cap %d exceeded: order %d" % (cap, order))
     gi, hi = _indexed(g), _indexed(h)
     if sorted(gi.element_orders()) != sorted(hi.element_orders()):
         return None
@@ -220,7 +220,7 @@ def are_isomorphic(g, h, cap: int = ISO_CAP):
 def automorphisms(indexed, cap: int = AUT_CAP):
     """All automorphisms of an indexed group, as index maps (sorted)."""
     if indexed.n > cap:
-        raise ValueError("automorphism cap %d exceeded: order %d" % (cap, indexed.n))
+        raise CapExceeded("automorphism cap %d exceeded: order %d" % (cap, indexed.n))
     data = _CandidateData(indexed)
     maps = sorted(tuple(m) for m in _search(data, data))
     return [list(m) for m in maps]

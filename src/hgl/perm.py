@@ -15,6 +15,10 @@ from math import lcm
 from operator import itemgetter
 
 
+class CapExceeded(ValueError):
+    """A size cap refused the input before the expensive step."""
+
+
 class Permutation:
     """A permutation of {0..degree-1}, stored as its image tuple."""
 
@@ -112,17 +116,11 @@ class Permutation:
                 out.append(tuple(cycle))
         return out
 
-    def cycle_type(self):
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
     def order(self) -> int:
         return reduce(lcm, (len(c) for c in self.cycles()), 1)
 
     def sign(self) -> int:
         return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
-
-    def is_fixed_point_free(self) -> bool:
-        return all(i != j for i, j in enumerate(self.images))
 
     def cycle_string(self) -> str:
         cyc = self.cycles()
@@ -427,7 +425,7 @@ class PermGroup:
 
     def is_soluble(self, cap: int = 10**6) -> bool:
         if self.order() > cap:
-            raise ValueError("solubility cap %d exceeded: order %d" % (cap, self.order()))
+            raise CapExceeded("solubility cap %d exceeded: order %d" % (cap, self.order()))
         current = self
         while current.order() > 1:
             derived = current.derived_subgroup()
@@ -438,7 +436,7 @@ class PermGroup:
 
     def is_nilpotent(self, cap: int = 10**6) -> bool:
         if self.order() > cap:
-            raise ValueError("nilpotency cap %d exceeded: order %d" % (cap, self.order()))
+            raise CapExceeded("nilpotency cap %d exceeded: order %d" % (cap, self.order()))
         if self._nilpotent is None:
             # the lower central series either reaches 1 or stalls above it
             current = self
@@ -462,7 +460,7 @@ class PermGroup:
         """All elements as a list of Permutations, BFS from the identity over
         the sorted generators (deterministic order, identity first)."""
         if self.order() > cap:
-            raise ValueError("enumeration cap %d exceeded: order %d" % (cap, self.order()))
+            raise CapExceeded("enumeration cap %d exceeded: order %d" % (cap, self.order()))
         identity = tidentity(self.degree)
         seen = {identity}
         out = [identity]
@@ -570,6 +568,38 @@ def brute_closure(gens, cap: int = 10**6):
                 seen.add(product)
                 queue.append(product)
     return seen
+
+
+def orbit_minima(items, maps):
+    """The least item of each orbit of the group generated by `maps`
+    (functions that must permute `items`; ValueError otherwise), in
+    increasing order."""
+    members = set(items)
+    seen = set()
+    minima = []
+    for item in sorted(members):
+        if item in seen:
+            continue
+        minima.append(item)
+        seen.add(item)
+        queue = [item]
+        for current in queue:  # the queue grows while it is read
+            for move in maps:
+                image = move(current)
+                if image not in seen:
+                    if image not in members:
+                        raise ValueError("a map leaves the set it acts on")
+                    seen.add(image)
+                    queue.append(image)
+    return minima
+
+
+def conjugators(group: PermGroup):
+    """h -> theta h theta^-1 on permutation tuples, one per generator theta."""
+    return [
+        lambda h, theta=g.images, theta_inv=tinv(g.images): tmul(theta, tmul(h, theta_inv))
+        for g in group.generators
+    ]
 
 
 def reduce_generators(perms, target_order: int):

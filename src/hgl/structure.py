@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cayley import TableGroup, greedy_generating_set, index_group
 from .numtheory import is_prime
-from .perm import PermGroup
+from .perm import CapExceeded, PermGroup
 
 SERIES_CAP = 10**6
 FACTORS_CAP = 10**5
@@ -184,11 +184,11 @@ def structure_report(
 ) -> StructureReport:
     order = group.order()
     if order > series_cap:
-        raise ValueError("series cap %d exceeded: order %d" % (series_cap, order))
+        raise CapExceeded("series cap %d exceeded: order %d" % (series_cap, order))
     soluble = group.is_soluble(cap=series_cap)
     nilpotent = group.is_nilpotent(cap=series_cap)
     if order > factors_cap:
-        raise ValueError("composition factor cap %d exceeded: order %d" % (factors_cap, order))
+        raise CapExceeded("composition factor cap %d exceeded: order %d" % (factors_cap, order))
     indexed = index_group(group, cap=factors_cap)
     factors = tuple(sorted(composition_factors(indexed)))
     return StructureReport(

@@ -116,10 +116,6 @@ def plane_w() -> MatrixGF:
     return MatrixGF(field4(), [[1, 0, 0, 0], [0, 0, 1, 0]])
 
 
-def canonical_plane(rows) -> MatrixGF:
-    return MatrixGF(field4(), rows).rref()
-
-
 def action_on_planes(m: MatrixGF) -> Permutation:
     """The permutation of the canonical plane list induced by v -> v*M.
 

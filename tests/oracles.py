@@ -4,7 +4,8 @@ These deliberately share no code path with the library's searches: subgroups
 come from exhaustive lattice growth over explicit element lists, and the
 abelian maximum scans that lattice.  The embedding oracles check the Cayley
 edge of every element for every generator, and find the orbit of the
-identity index by a BFS over the action.  Desk scale only.
+identity index by a BFS over the action.  The cyclic-subgroup oracle walks
+every pair [g, alpha] of Hol(G), with no orbit reduction.  Desk scale only.
 """
 
 from hgl.perm import tidentity, tmul
@@ -120,3 +121,32 @@ def image_orbit_size_bfs(ctx, images):
                 seen.add(u)
                 queue.append(u)
     return len(seen)
+
+
+def regular_cyclic_subgroups_all_points(ctx, aut_maps):
+    """Regular cyclic subgroups of Hol(G), as sorted element tuples, by
+    walking the cycle of 0 under every [g, alpha] with g != 1 and keeping the
+    spans of the n-cycles."""
+    n = ctx.n
+    if n == 1:
+        return [(tidentity(1),)]
+    found = set()
+    for alpha in aut_maps:
+        for g in range(1, n):
+            point = 0
+            length = 0
+            while True:
+                point = ctx.group.mult(g, alpha[point])
+                length += 1
+                if point == 0 or length > n:
+                    break
+            if length != n:
+                continue
+            perm = ctx.action_perm(g, alpha)
+            elements = [tidentity(n)]
+            power = perm
+            while power != elements[0]:
+                elements.append(power)
+                power = tmul(power, perm)
+            found.add(tuple(sorted(elements)))
+    return sorted(found)

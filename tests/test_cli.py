@@ -29,6 +29,15 @@ def test_an_gen_rejects_n6(capsys):
     assert "2 mod 4" in payload["result"]["reason"]
 
 
+def test_cap_refusal_exit_4(capsys):
+    # |E(2,6)| = 64 is over the enumeration cap: a refusal, not a failed check
+    code, out = run_cli(capsys, "count-hgs", "--gamma", "E(2,6)", "--g", "E(2,6)")
+    assert code == 4
+    assert out == ""
+    code, _ = run_cli(capsys, "an-gen", "--n", "6")
+    assert code == 1
+
+
 def test_an_gen_n5(capsys):
     code, out = run_cli(capsys, "an-gen", "--n", "5")
     assert code == 0

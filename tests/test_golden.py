@@ -45,6 +45,18 @@ GOLDEN = [
      "e4fb17184a1f5a70ad3b0d2c4e975e54c43874014cc212d226ee35b47bb54a55"),
     (["delta-p", "--g", "C2xC2xC4", "--p", "2", "--all-embeddings"],
      "c8fdde4689e36d0a00d12017c7aeb73fa35db4c8c957ce34e61d70ee03fa1082"),
+    (["count-hgs", "--gamma", "C27", "--g", "C27"],
+     "fec3dd477a992b7730a185327ead766dff82b0d3848d7d2e5c3b762b002c6246"),
+    (["count-hgs", "--gamma", "C16", "--g", "C2xC8"],
+     "8a589d6c0c08fc1c169cf4c02c13cb2251d740624e45e7556cdde0262cc345d5"),
+    (["count-hgs", "--gamma", "C27", "--g", "C9xC3"],
+     "6fd77930a1775d6a31c128f77756cbdbabd7cd37bcae91b3caca79d726bb6ac7"),
+    (["count-hgs", "--gamma", "C81", "--g", "C81"],
+     "7ad26b3d2641814f9f5c7d393c69716c36af4e68cb57ed959b664c130cc20570"),
+    (["check-a-ineq", "--t", "A7"],
+     "5efab004bc2834b37fe1cb0730ae6102b3cf07effa230274becd1894a27a4e84"),
+    (["a-value", "--group", "PSL(2,7)"],
+     "d99ec1b3fa829a32ad8933cbd12f4e87fd49bc544460b40504f762af4a22755e"),
 ]
 
 

@@ -21,7 +21,7 @@ from hgl.holomorph import RegularEmbedding, hol_context, hol_group, lambda_embed
 from hgl.isoaut import are_isomorphic, automorphism_group
 from hgl.perm import Permutation, PermGroup, tmul
 
-from oracles import regular_subgroups_brute
+from oracles import regular_cyclic_subgroups_all_points, regular_subgroups_brute
 
 
 def test_hol_c2_single_subgroup():
@@ -94,6 +94,18 @@ def test_root_orbit_reduction_matches_unreduced_search(spec):
     buckets, n, aut = _hol_search_input(spec)
     reduced = regular_subgroups_of_elements(buckets, n, symmetry=aut)
     assert reduced == regular_subgroups_of_elements(buckets, n)
+
+
+@pytest.mark.parametrize("spec", ["C9", "C16", "C25", "C27", "C49", "C81", "E(2,2)", "E(2,3)",
+                                  "D8", "C2xC4", "C2xC6", "C2xC8", "C9xC3", "E(3,3)", "S3"])
+def test_cyclic_orbit_walk_matches_all_points_walk(spec):
+    # differential test: one point per Aut(G)-orbit plus the conjugation
+    # rebuild against the walk over every [g, alpha]
+    ctx = hol_context(build_group(spec))
+    aut = automorphism_group(ctx.group)
+    aut_maps = [g.images for g in aut.elements()]
+    expected = regular_cyclic_subgroups_all_points(ctx, aut_maps)
+    assert hgsenum._regular_cyclic_subgroups(ctx, aut_maps, aut) == expected
 
 
 _SMALL_SPECS = ["C4", "E(2,2)", "C6", "S3", "C8", "C2xC4", "E(2,3)", "D8", "E(3,2)",

@@ -3,18 +3,23 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from hgl.catalog import build_group
+from hgl.cayley import index_group
 from hgl.perm import (
     Permutation,
     PermGroup,
     brute_closure,
+    conjugators,
     direct_product,
     element_orders_multiset,
     group_from_generators,
     is_regular,
     is_semiregular,
+    orbit_minima,
     sylow_subgroup,
     tmul,
 )
+from hgl.structure import conjugacy_classes
 
 
 def perm(text, degree):
@@ -210,3 +215,15 @@ def test_tmul_is_composition(pair):
 
 def test_tmul_degree_one():
     assert tmul((0,), (0,)) == (0,)
+
+
+@pytest.mark.parametrize("spec", ["S5", "A6", "PSL(2,7)", "S3xS3", "A4xC5"])
+def test_orbit_minima_are_least_class_members(spec):
+    # the class representatives of the a(G) search, against the indexed
+    # conjugacy classes; the identity is the least tuple and its own class
+    group = build_group(spec)
+    indexed = index_group(group)
+    least = sorted(min(indexed.elements[i] for i in c) for c in conjugacy_classes(indexed))
+    elements = sorted(g.images for g in group.elements())
+    assert least[0] == elements[0] == tuple(range(group.degree))
+    assert orbit_minima(elements[1:], conjugators(group)) == least[1:]
