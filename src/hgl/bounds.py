@@ -33,6 +33,7 @@ from .perm import (
     tidentity,
     tmul,
 )
+from .projective import projective_order
 from .structure import _quotient_table, is_simple_indexed
 
 ABELIAN_SEARCH_CAP = 50000
@@ -52,12 +53,12 @@ class AbelianBoundResult:
         }
 
 
-def max_abelian_order(group: PermGroup, cap: int = ABELIAN_SEARCH_CAP) -> AbelianBoundResult:
+def max_abelian_order(group: PermGroup) -> AbelianBoundResult:
     """Exact a(G) = max order of an abelian subgroup, with a witness."""
     order = group.order()
-    if order > cap:
-        raise CapExceeded("abelian search cap %d exceeded: order %d" % (cap, order))
-    elements = sorted(g.images for g in group.elements(cap=cap))
+    if order > ABELIAN_SEARCH_CAP:
+        raise CapExceeded("abelian search cap %d exceeded: order %d" % (ABELIAN_SEARCH_CAP, order))
+    elements = sorted(g.images for g in group.elements(cap=ABELIAN_SEARCH_CAP))
     identity = tidentity(group.degree)
 
     if order == 1 or group.is_abelian():
@@ -129,9 +130,9 @@ class AIneqResult:
         }
 
 
-def check_a_ineq(t: PermGroup, aut_t: PermGroup, cap: int = ABELIAN_SEARCH_CAP) -> AIneqResult:
-    a_t = max_abelian_order(t, cap=cap).a_value
-    a_aut = max_abelian_order(aut_t, cap=cap).a_value
+def check_a_ineq(t: PermGroup, aut_t: PermGroup) -> AIneqResult:
+    a_t = max_abelian_order(t).a_value
+    a_aut = max_abelian_order(aut_t).a_value
     order = t.order()
     return AIneqResult(
         a_t=a_t,
@@ -142,13 +143,9 @@ def check_a_ineq(t: PermGroup, aut_t: PermGroup, cap: int = ABELIAN_SEARCH_CAP) 
     )
 
 
-def _psl2_order(q: int) -> int:
-    return q * (q * q - 1) // (2 if q % 2 else 1)
-
-
-def _psl2_order_matches(order: int, q_max: int = 2048):
-    for q in prime_powers_up_to(q_max):
-        if q >= 4 and _psl2_order(q) == order:
+def _psl2_order_matches(order: int):
+    for q in prime_powers_up_to(2048):  # |PSL2(2048)| is about 8.6e9
+        if q >= 4 and projective_order("PSL2", q) == order:
             return q
     return None
 
@@ -169,7 +166,7 @@ class VdovinResult:
         }
 
 
-def check_vdovin(t: PermGroup, cap: int = ABELIAN_SEARCH_CAP) -> VdovinResult:
+def check_vdovin(t: PermGroup) -> VdovinResult:
     """a(T)^3 < |T| for simple T not isomorphic to any PSL2(q)."""
     order = t.order()
     indexed = index_group(t)
@@ -183,7 +180,7 @@ def check_vdovin(t: PermGroup, cap: int = ABELIAN_SEARCH_CAP) -> VdovinResult:
             a_value=None,
             holds=None,
         )
-    a_value = max_abelian_order(t, cap=cap).a_value
+    a_value = max_abelian_order(t).a_value
     return VdovinResult(
         excluded=False,
         reason="",
@@ -217,17 +214,16 @@ def a_prop_checks(
     h: PermGroup | None = None,
     n: PermGroup | None = None,
     j: PermGroup | None = None,
-    cap: int = ABELIAN_SEARCH_CAP,
 ) -> APropReport:
     """Verify on concrete instances: (i) a(H) <= a(G) for H <= G;
     (ii) a(G) <= a(N) a(G/N) for N normal in G; (iii) a(H x J) = a(H) a(J)."""
     report = APropReport()
-    a_g = max_abelian_order(g, cap=cap).a_value
+    a_g = max_abelian_order(g).a_value
     if h is not None:
         for gen in h.generators:
             if gen not in g:
                 raise ValueError("H is not a subgroup of G")
-        a_h = max_abelian_order(h, cap=cap).a_value
+        a_h = max_abelian_order(h).a_value
         report.monotone = {"a_h": a_h, "a_g": a_g, "holds": a_h <= a_g}
     if n is not None:
         for gen in n.generators:
@@ -238,8 +234,8 @@ def a_prop_checks(
                 if g_gen * n_gen * g_gen.inverse() not in n:
                     raise ValueError("N is not normal in G")
         quotient = _quotient_perm_group(g, n)
-        a_n = max_abelian_order(n, cap=cap).a_value
-        a_q = max_abelian_order(quotient, cap=cap).a_value
+        a_n = max_abelian_order(n).a_value
+        a_q = max_abelian_order(quotient).a_value
         report.quotient = {
             "a_g": a_g,
             "a_n": a_n,
@@ -248,9 +244,9 @@ def a_prop_checks(
         }
     if j is not None and h is not None:
         product = direct_product([h, j])
-        a_h = max_abelian_order(h, cap=cap).a_value
-        a_j = max_abelian_order(j, cap=cap).a_value
-        a_p = max_abelian_order(product, cap=cap).a_value
+        a_h = max_abelian_order(h).a_value
+        a_j = max_abelian_order(j).a_value
+        a_p = max_abelian_order(product).a_value
         report.product = {
             "a_h": a_h,
             "a_j": a_j,

@@ -19,7 +19,7 @@ from math import factorial
 
 from .numtheory import is_prime, least_primitive_root, prime_power
 from .perm import PermGroup, Permutation, direct_product
-from .projective import projective_group, psl3_2
+from .projective import projective_group, projective_order, psl3_2
 from .su42 import su42_permutation_group
 
 BUILD_ORDER_CAP = 10**6
@@ -242,15 +242,8 @@ def atom_order(spec: GroupSpec) -> int:
     if k == "ElemAb":
         p, e = spec.params
         return p**e
-    if k == "PSL2":
-        q = spec.params[0]
-        return q * (q * q - 1) // (2 if q % 2 else 1)
-    if k == "PGL2":
-        q = spec.params[0]
-        return q * (q * q - 1)
-    if k == "PGammaL2":
-        q = spec.params[0]
-        return q * (q * q - 1) * prime_power(q)[1]
+    if k in ("PSL2", "PGL2", "PGammaL2"):
+        return projective_order(k, spec.params[0])
     if k == "PSL3_2":
         return 168
     if k == "PSU4_2":

@@ -51,12 +51,12 @@ class _IndexedGroup:
 class CayleyIndexedGroup(_IndexedGroup):
     """A finite group with elements canonically indexed 0..n-1."""
 
-    def __init__(self, source: PermGroup, cap: int = INDEX_CAP):
+    def __init__(self, source: PermGroup):
         order = source.order()
-        if order > cap:
-            raise CapExceeded("indexing cap %d exceeded: order %d" % (cap, order))
+        if order > INDEX_CAP:
+            raise CapExceeded("indexing cap %d exceeded: order %d" % (INDEX_CAP, order))
         self.source = source
-        self.elements = [g.images for g in source.elements(cap=cap)]
+        self.elements = [g.images for g in source.elements(cap=INDEX_CAP)]
         self.n = len(self.elements)
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.inverse = [self.index[tinv(p)] for p in self.elements]
@@ -92,8 +92,8 @@ class CayleyIndexedGroup(_IndexedGroup):
         return "CayleyIndexedGroup(order=%d, degree=%d)" % (self.n, self.source.degree)
 
 
-def index_group(group: PermGroup, cap: int = INDEX_CAP) -> CayleyIndexedGroup:
-    return CayleyIndexedGroup(group, cap=cap)
+def index_group(group: PermGroup) -> CayleyIndexedGroup:
+    return CayleyIndexedGroup(group)
 
 
 class TableGroup(_IndexedGroup):

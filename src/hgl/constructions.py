@@ -172,10 +172,9 @@ def an_complementary_pair(n: int) -> ComplementaryPair:
     return pair
 
 
-def an_gen_embedding(n: int, cap: int = 10**5) -> RegularEmbedding:
+def an_gen_embedding(n: int) -> RegularEmbedding:
     """Regular embedding of A_{n-1} x C_2^e x C_m into Hol(A_n)."""
-    pair = an_complementary_pair(n)
-    return untangle_embedding(pair, hol_context(pair.group, cap=cap))
+    return untangle_embedding(an_complementary_pair(n))
 
 
 # -- prime-power-index cases ------------------------------------------------------

@@ -10,6 +10,7 @@ x^2 + x + 1 (w^2 = w + 1).  Multiplication runs on exp/log tables.
 from __future__ import annotations
 
 from .numtheory import is_prime, least_primitive_root, prime_factors
+from .perm import CapExceeded
 
 FIELD_SIZE_CAP = 2**16
 
@@ -24,7 +25,7 @@ class GF:
             raise ValueError("exponent must be >= 1")
         q = p**e
         if q > FIELD_SIZE_CAP:
-            raise ValueError("field size %d exceeds cap %d" % (q, FIELD_SIZE_CAP))
+            raise CapExceeded("field size %d exceeds cap %d" % (q, FIELD_SIZE_CAP))
         self.p = p
         self.e = e
         self.q = q

@@ -46,7 +46,7 @@ from operator import itemgetter
 from .catalog import build_group
 from .cayley import greedy_generating_set, index_group, regular_table
 from .holomorph import HolContext, RegularEmbedding, hol_context
-from .isoaut import are_isomorphic, automorphism_group, automorphisms
+from .isoaut import are_isomorphic, automorphism_group_of, automorphisms
 from .perm import (
     CapExceeded,
     PermGroup,
@@ -269,8 +269,10 @@ def enumerate_regular_subgroups(group, budget: int = DEFAULT_BUDGET, iso_candida
     if order > ENUM_ORDER_CAP:
         raise CapExceeded("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, order))
     ctx = group if isinstance(group, HolContext) else hol_context(group)
-    aut = automorphism_group(ctx.group)
-    buckets = semiregular_element_buckets(ctx, [g.images for g in aut.elements()])
+    aut_maps = automorphisms(ctx.group)
+    aut = automorphism_group_of(aut_maps)
+    buckets = semiregular_element_buckets(ctx, aut_maps)
+    del aut_maps  # |Aut(G)| tuples, not needed by the search (11,232 for E(3,3))
     subgroups = regular_subgroups_of_elements(buckets, ctx.n, budget=budget, symmetry=aut)
     # a candidate of another order never matches, so it is never indexed
     candidates = [(str(spec), build_group(spec)) for spec in iso_candidates]
@@ -366,8 +368,8 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET) -> HgsCount:
     if not gamma_cyclic and g.order() > ENUM_ORDER_CAP:
         raise CapExceeded("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, g.order()))
     ctx = hol_context(g)
-    aut_g = automorphism_group(ctx.group)
-    aut_g_maps = [p.images for p in aut_g.elements()]
+    aut_g_maps = automorphisms(ctx.group)
+    aut_g = automorphism_group_of(aut_g_maps)
     if gamma_cyclic:
         subgroup_sets = _regular_cyclic_subgroups(ctx, aut_g_maps, aut_g)
     else:

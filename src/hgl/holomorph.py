@@ -27,6 +27,8 @@ from __future__ import annotations
 from .cayley import CayleyIndexedGroup, greedy_generating_set, index_group, regular_table
 from .perm import CapExceeded, PermGroup, Permutation, tidentity, tinv, tmul
 
+EMBEDDING_MAP_CAP = 10**5
+
 
 class HolContext:
     """Arithmetic context for Hol(G) over a Cayley-indexed group."""
@@ -88,19 +90,16 @@ class HolContext:
             self._conjugation_memo[g] = known
         return known
 
-    def is_automorphism(self, alpha, exhaustive: bool = True, rng=None, samples: int = 200) -> bool:
-        """Check that a tuple respects the multiplication table (exhaustively,
-        or on random pairs for big groups)."""
+    def is_automorphism(self, alpha) -> bool:
+        """Check that a tuple respects the whole multiplication table."""
         alpha = tuple(alpha)
         if alpha[0] != 0 or sorted(alpha) != list(range(self.n)):
             return False
-        group = self.group
-        if exhaustive:
-            pairs = ((x, y) for x in range(self.n) for y in range(self.n))
-        else:
-            pairs = ((rng.randrange(self.n), rng.randrange(self.n)) for _ in range(samples))
+        mult = self.group.mult
         return all(
-            alpha[group.mult(x, y)] == group.mult(alpha[x], alpha[y]) for x, y in pairs
+            alpha[mult(x, y)] == mult(alpha[x], alpha[y])
+            for x in range(self.n)
+            for y in range(self.n)
         )
 
     # -- pair arithmetic -----------------------------------------------------------
@@ -154,8 +153,8 @@ class HolContext:
         return {"g": g, "alpha": list(self._alphas[a])}
 
 
-def hol_context(group: PermGroup | CayleyIndexedGroup, cap: int = 10**5) -> HolContext:
-    indexed = group if isinstance(group, CayleyIndexedGroup) else index_group(group, cap=cap)
+def hol_context(group: PermGroup | CayleyIndexedGroup) -> HolContext:
+    indexed = group if isinstance(group, CayleyIndexedGroup) else index_group(group)
     return HolContext(indexed)
 
 
@@ -164,14 +163,13 @@ def conjugation_aut(ctx: HolContext, g: int):
     return ctx.alpha_tuple(ctx.conjugation(g))
 
 
-def hol_group(group: PermGroup, aut_group: PermGroup | None = None, cap: int = 10**5) -> PermGroup:
+def hol_group(group: PermGroup) -> PermGroup:
     """Hol(G) as a permutation group of degree |G| on element indices,
     generated by the left translations and Aut(G).  Order |G| * |Aut(G)|."""
     from .isoaut import automorphism_group
 
-    indexed = index_group(group, cap=cap)
-    if aut_group is None:
-        aut_group = automorphism_group(group)
+    indexed = index_group(group)
+    aut_group = automorphism_group(indexed)
     gens = []
     for g in indexed.generator_indices():
         perm = Permutation(indexed.left_translation(g))
@@ -197,7 +195,7 @@ def homomorphism_map(source: PermGroup, gen_images, mult, identity, cap: int | N
     old elements against it and each new element against every kept
     generator.  So every edge of the kept generators is checked once, and
     success proves the homomorphism law exhaustively.  The map's domain is
-    the source group itself; past cap elements the BFS stops (ValueError).
+    the source group itself; past cap elements the BFS stops (CapExceeded).
     """
     gen_images = list(gen_images)
     if len(gen_images) != len(source.generators):
@@ -254,12 +252,13 @@ class RegularEmbedding:
         source = PermGroup([table.elements[i] for i in gens], degree=ctx.n)
         return cls(source, ctx, [ctx.decode_perm(g.images) for g in source.generators])
 
-    def full_map(self, cap: int = 10**5):
+    def full_map(self):
         """beta on every element of Gamma: a dict perm-tuple -> hol pair
-        (see homomorphism_map)."""
+        (see homomorphism_map), refused past EMBEDDING_MAP_CAP elements."""
         if self._map is None:
             self._map = homomorphism_map(
-                self.source, self.images, self.ctx.mult, self.ctx.identity, cap=cap
+                self.source, self.images, self.ctx.mult, self.ctx.identity,
+                cap=EMBEDDING_MAP_CAP,
             )
         return self._map
 
@@ -268,7 +267,7 @@ class RegularEmbedding:
         the map: [g, alpha] . 0 = g."""
         return len({g for g, _ in self.full_map().values()})
 
-    def verify(self, cap: int = 10**5) -> dict:
+    def verify(self) -> dict:
         """Prove the homomorphism law and regularity; returns the certificate.
 
         Regularity argument: |image| <= |Gamma| always, and |image| >= orbit
@@ -279,7 +278,7 @@ class RegularEmbedding:
         if self.certificate is not None:
             return self.certificate
         n = self.ctx.n
-        source_order = len(self.full_map(cap=cap))  # raises if not a homomorphism
+        source_order = len(self.full_map())  # raises if not a homomorphism
         orbit = self.image_orbit_size()
         regular = source_order == n and orbit == n
         self.certificate = {

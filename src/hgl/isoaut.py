@@ -24,15 +24,13 @@ def _bfs_edges(group, gens):
     the chosen generators.
 
     Returns (tree, edges): tree is a list of (element, parent, gen) triples in
-    BFS order covering all elements; edges lists every (element, gen, product).
+    BFS order covering all elements; edges lists every (element, gen) pair.
     """
-    n = group.n
     tree = []
-    seen = [False] * n
+    seen = [False] * group.n
     seen[0] = True
     queue = [0]
     order = [0]
-    parent_gen = {0: None}
     while queue:
         current = queue.pop(0)
         for g in gens:
@@ -85,11 +83,11 @@ def _image_map(source, target, gens, images, tree, edges):
     return img
 
 
-def _word_relations(group, gens, max_len=3):
-    """Short words in the generators with their element orders, used as cheap
-    necessary conditions on candidate image tuples."""
+def _word_relations(group, gens):
+    """Words of length 2 and 3 in the generators with their element orders,
+    used as cheap necessary conditions on candidate image tuples."""
     words = []
-    for length in (2, max_len):
+    for length in (2, 3):
         for word in _words_over(len(gens), length):
             element = 0
             for k in word:
@@ -198,14 +196,14 @@ def _order(group) -> int:
     return group.order() if isinstance(group, PermGroup) else group.n
 
 
-def are_isomorphic(g, h, cap: int = ISO_CAP):
+def are_isomorphic(g, h):
     """An Isomorphism g -> h, or None (definitive at these sizes).  Each
     argument is a PermGroup or an already-indexed group."""
     order = _order(g)
     if order != _order(h):
         return None
-    if order > cap:
-        raise CapExceeded("isomorphism cap %d exceeded: order %d" % (cap, order))
+    if order > ISO_CAP:
+        raise CapExceeded("isomorphism cap %d exceeded: order %d" % (ISO_CAP, order))
     gi, hi = _indexed(g), _indexed(h)
     if sorted(gi.element_orders()) != sorted(hi.element_orders()):
         return None
@@ -217,27 +215,29 @@ def are_isomorphic(g, h, cap: int = ISO_CAP):
     return None
 
 
-def automorphisms(indexed, cap: int = AUT_CAP):
-    """All automorphisms of an indexed group, as index maps (sorted)."""
-    if indexed.n > cap:
-        raise CapExceeded("automorphism cap %d exceeded: order %d" % (cap, indexed.n))
+def automorphisms(indexed):
+    """All automorphisms of an indexed group, as sorted index-map tuples."""
+    if indexed.n > AUT_CAP:
+        raise CapExceeded("automorphism cap %d exceeded: order %d" % (AUT_CAP, indexed.n))
     data = _CandidateData(indexed)
-    maps = sorted(tuple(m) for m in _search(data, data))
-    return [list(m) for m in maps]
+    return sorted(tuple(m) for m in _search(data, data))
 
 
-def automorphism_group(g, cap: int = AUT_CAP) -> PermGroup:
-    """Aut(G) as a permutation group on the element indices of index_group(G)."""
-    indexed = _indexed(g)
-    maps = automorphisms(indexed, cap=cap)
-    perms = [Permutation(m) for m in maps]
-    non_trivial = [p for p in perms if not p.is_identity()]
-    if not non_trivial:
-        return PermGroup.trivial(indexed.n)
-    group = PermGroup(reduce_generators(non_trivial, len(maps)), degree=indexed.n)
+def automorphism_group_of(maps) -> PermGroup:
+    """Aut(G) on element indices, from the sorted list of all its index maps
+    (see automorphisms), whose first entry is the identity."""
+    if len(maps) == 1:
+        return PermGroup.trivial(len(maps[0]))
+    gens = reduce_generators((Permutation(m) for m in maps[1:]), len(maps))
+    group = PermGroup(gens, degree=len(maps[0]))
     if group.order() != len(maps):
         raise AssertionError("automorphism generators lost elements")
     return group
+
+
+def automorphism_group(g) -> PermGroup:
+    """Aut(G) as a permutation group on the element indices of index_group(G)."""
+    return automorphism_group_of(automorphisms(_indexed(g)))
 
 
 def inner_automorphism_group(indexed: CayleyIndexedGroup) -> PermGroup:

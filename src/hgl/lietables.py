@@ -274,10 +274,10 @@ def alt_lemma_check(n: int) -> bool:
     return 3 ** (2 * n + 1) < (factorial(n) // 2) ** 3
 
 
-def sporadic_check(out_order: int = 2, min_simple_order: int = 7920):
+def sporadic_check(out_order: int = 2):
     """3 |Out|^3 <= 24 < |T| given |Out| <= 2 and |T| >= 7920 (the smallest
     sporadic group).  |Out| > 2 is outside the premise and flagged."""
     if out_order > 2:
         return {"out": out_order, "pass": False, "flag": "outside the |Out| <= 2 premise"}
     lhs = 3 * out_order**3
-    return {"out": out_order, "lhs": lhs, "pass": lhs <= 24 < min_simple_order, "flag": None}
+    return {"out": out_order, "lhs": lhs, "pass": lhs <= 24 < 7920, "flag": None}

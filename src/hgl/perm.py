@@ -15,6 +15,10 @@ from math import lcm
 from operator import itemgetter
 
 
+SERIES_CAP = 10**6  # derived and lower central series
+ELEMENTS_CAP = 10**5  # element lists: by default, Sylow subgroups, order multisets
+
+
 class CapExceeded(ValueError):
     """A size cap refused the input before the expensive step."""
 
@@ -98,7 +102,7 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def cycles(self, include_fixed: bool = False):
+    def cycles(self):
         """Disjoint cycles, each starting at its least point, sorted by it."""
         seen = [False] * len(self.images)
         out = []
@@ -112,7 +116,7 @@ class Permutation:
                 seen[point] = True
                 cycle.append(point)
                 point = self.images[point]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
 
@@ -423,9 +427,9 @@ class PermGroup:
                 commutators.append(c)
         return self.normal_closure(commutators)
 
-    def is_soluble(self, cap: int = 10**6) -> bool:
-        if self.order() > cap:
-            raise CapExceeded("solubility cap %d exceeded: order %d" % (cap, self.order()))
+    def is_soluble(self) -> bool:
+        if self.order() > SERIES_CAP:
+            raise CapExceeded("solubility cap %d exceeded: order %d" % (SERIES_CAP, self.order()))
         current = self
         while current.order() > 1:
             derived = current.derived_subgroup()
@@ -434,9 +438,9 @@ class PermGroup:
             current = derived
         return True
 
-    def is_nilpotent(self, cap: int = 10**6) -> bool:
-        if self.order() > cap:
-            raise CapExceeded("nilpotency cap %d exceeded: order %d" % (cap, self.order()))
+    def is_nilpotent(self) -> bool:
+        if self.order() > SERIES_CAP:
+            raise CapExceeded("nilpotency cap %d exceeded: order %d" % (SERIES_CAP, self.order()))
         if self._nilpotent is None:
             # the lower central series either reaches 1 or stalls above it
             current = self
@@ -456,7 +460,7 @@ class PermGroup:
 
     # -- element enumeration --------------------------------------------------
 
-    def elements(self, cap: int = 10**5):
+    def elements(self, cap: int = ELEMENTS_CAP):
         """All elements as a list of Permutations, BFS from the identity over
         the sorted generators (deterministic order, identity first)."""
         if self.order() > cap:
@@ -505,10 +509,10 @@ def is_semiregular(group: PermGroup) -> bool:
     return group.is_semiregular()
 
 
-def sylow_subgroup(group: PermGroup, p: int, cap: int = 10**5) -> PermGroup:
+def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, by growing a p-subgroup along normalizing p-elements.
 
-    Works by element enumeration, so it is limited to |G| <= cap.
+    Works by element enumeration, so it is limited to |G| <= ELEMENTS_CAP.
     """
     order = group.order()
     target = 1
@@ -517,7 +521,7 @@ def sylow_subgroup(group: PermGroup, p: int, cap: int = 10**5) -> PermGroup:
         target *= p
     if target == 1:
         return PermGroup.trivial(group.degree)
-    elements = group.elements(cap=cap)
+    elements = group.elements(cap=ELEMENTS_CAP)
     p_elements = [g for g in elements if g.order() > 1 and g.order() % p == 0]
     p_elements = [g ** (g.order() // (p ** _p_valuation(g.order(), p))) for g in p_elements]
     p_elements = sorted({g.images for g in p_elements})
@@ -633,6 +637,6 @@ def direct_product(groups) -> PermGroup:
     return PermGroup(gens, degree=total)
 
 
-def element_orders_multiset(group: PermGroup, cap: int = 10**5):
+def element_orders_multiset(group: PermGroup):
     """Sorted list of the orders of all elements of the group."""
-    return sorted(g.order() for g in group.elements(cap=cap))
+    return sorted(g.order() for g in group.elements(cap=ELEMENTS_CAP))

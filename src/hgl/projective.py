@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .gf import make_field
 from .numtheory import prime_power
-from .perm import PermGroup, Permutation
+from .perm import CapExceeded, PermGroup, Permutation
 
 PROJECTIVE_Q_CAP = 2**14
 
@@ -42,13 +42,24 @@ def _frobenius_permutation(field) -> Permutation:
     return Permutation(images)
 
 
+def projective_order(kind: str, q: int) -> int:
+    """|PSL2(q)|, |PGL2(q)| or |PGammaL2(q)| (kind in any case) for a prime power q."""
+    order = q * (q * q - 1)
+    kind = kind.upper()
+    if kind == "PSL2":
+        return order // (2 if q % 2 else 1)
+    if kind == "PGAMMAL2":
+        return order * prime_power(q)[1]
+    return order
+
+
 def projective_group(kind: str, q: int) -> PermGroup:
     """PSL2 / PGL2 / PGammaL2 over F_q, acting on the q+1 points of the line.
 
     PSL2(q) is simple only for q >= 4; smaller q are still constructed.
     """
     if q > PROJECTIVE_Q_CAP:
-        raise ValueError("q=%d exceeds cap %d" % (q, PROJECTIVE_Q_CAP))
+        raise CapExceeded("q=%d exceeds cap %d" % (q, PROJECTIVE_Q_CAP))
     p, e = prime_power(q)
     field = make_field(p, e)
     # Elementary transvections with coefficients spanning F_q over F_p
@@ -68,11 +79,7 @@ def projective_group(kind: str, q: int) -> PermGroup:
     elif kind not in ("PSL2", "PGL2"):
         raise ValueError("unknown kind %r" % kind)
     group = PermGroup(gens, degree=q + 1)
-    expected = q * (q * q - 1)
-    if kind == "PSL2":
-        expected //= 2 if q % 2 else 1
-    elif kind == "PGAMMAL2":
-        expected *= e
+    expected = projective_order(kind, q)
     if group.order() != expected:
         raise AssertionError(
             "%s(%d) has order %d, expected %d" % (kind, q, group.order(), expected)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 from .cayley import TableGroup, greedy_generating_set, index_group
 from .numtheory import is_prime
-from .perm import CapExceeded, PermGroup
+from .perm import SERIES_CAP, CapExceeded, PermGroup
 
-SERIES_CAP = 10**6
 FACTORS_CAP = 10**5
 
 # Names for the nonabelian simple orders the library actually meets.  20160 is
@@ -177,19 +176,15 @@ def composition_factors(group) -> list:
     return composition_factors(sub) + composition_factors(quot)
 
 
-def structure_report(
-    group: PermGroup,
-    series_cap: int = SERIES_CAP,
-    factors_cap: int = FACTORS_CAP,
-) -> StructureReport:
+def structure_report(group: PermGroup) -> StructureReport:
     order = group.order()
-    if order > series_cap:
-        raise CapExceeded("series cap %d exceeded: order %d" % (series_cap, order))
-    soluble = group.is_soluble(cap=series_cap)
-    nilpotent = group.is_nilpotent(cap=series_cap)
-    if order > factors_cap:
-        raise CapExceeded("composition factor cap %d exceeded: order %d" % (factors_cap, order))
-    indexed = index_group(group, cap=factors_cap)
+    if order > SERIES_CAP:
+        raise CapExceeded("series cap %d exceeded: order %d" % (SERIES_CAP, order))
+    if order > FACTORS_CAP:
+        raise CapExceeded("composition factor cap %d exceeded: order %d" % (FACTORS_CAP, order))
+    soluble = group.is_soluble()
+    nilpotent = group.is_nilpotent()
+    indexed = index_group(group)
     factors = tuple(sorted(composition_factors(indexed)))
     return StructureReport(
         order=order,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hgl import bounds
 from hgl.bounds import (
     a_prop_checks,
     check_a_ineq,
@@ -153,6 +154,7 @@ def test_check_vdovin():
         check_vdovin(build_group("S4"))  # not simple
 
 
-def test_abelian_search_cap():
+def test_abelian_search_cap(monkeypatch):
+    monkeypatch.setattr(bounds, "ABELIAN_SEARCH_CAP", 10)
     with pytest.raises(ValueError):
-        max_abelian_order(build_group("A5"), cap=10)
+        max_abelian_order(build_group("A5"))

@@ -38,6 +38,14 @@ def test_cap_refusal_exit_4(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["a-value", "structure"])
+def test_s9_refused_by_a_cap(capsys, command):
+    # |S9| = 362880 is over the abelian-search and composition-factor caps
+    code, out = run_cli(capsys, command, "--group", "S9")
+    assert code == 4
+    assert out == ""
+
+
 def test_an_gen_n5(capsys):
     code, out = run_cli(capsys, "an-gen", "--n", "5")
     assert code == 0

@@ -10,11 +10,18 @@ pinned to their exact values.
   C6/C6 = 1, C6/S3 = 2, S3/C6 = 3 and S3/S3 = 2.
 
 Each case is Gamma/G: structures of type G on a Gamma-extension.
+
+- Guarnieri and Vendramin (2017): the skew braces of order n, counted as
+  Aut(G)-orbits of regular subgroups of Hol(G) over the groups G of order n.
 """
 
 import pytest
 
-from hgl.hgsenum import count_hgs
+from hgl.catalog import build_group
+from hgl.hgsenum import count_hgs, enumerate_regular_subgroups
+from hgl.holomorph import hol_context
+from hgl.isoaut import automorphism_group
+from hgl.perm import conjugators, orbit_minima
 
 CLOSED_FORMS = [
     ("C49", "C49", 7),
@@ -39,3 +46,33 @@ def test_closed_form_count(gamma, g, expected):
     assert result.count == expected
     assert result.crosscheck == expected and not result.discrepancy
     assert len(result.witnesses) == expected
+
+
+# Skew braces (Guarnieri and Vendramin, 2017): the skew braces with additive
+# group G, up to isomorphism, are the Aut(G)-conjugacy orbits of regular
+# subgroups of Hol(G).  Each case is n, the total over the groups G of order
+# n, and the orbits of each G.
+SKEW_BRACES = [
+    (4, 4, {"C4": 2, "E(2,2)": 2}),
+    (6, 6, {"C6": 2, "S3": 4}),
+    (9, 4, {"C9": 2, "E(3,2)": 2}),
+    (10, 6, {"C10": 2, "D10": 4}),
+    (14, 6, {"C14": 2, "D14": 4}),
+    (15, 1, {"C15": 1}),
+    (21, 8, {"C21": 2, "F21": 6}),
+    (25, 4, {"C25": 2, "E(5,2)": 2}),
+]
+
+
+def _regular_subgroup_orbits(spec):
+    ctx = hol_context(build_group(spec))
+    aut = automorphism_group(ctx.group)
+    subgroups = [record.elements for record in enumerate_regular_subgroups(ctx)]
+    moves = [lambda elements, c=c: tuple(sorted(map(c, elements))) for c in conjugators(aut)]
+    return len(orbit_minima(subgroups, moves))
+
+
+@pytest.mark.parametrize("n,total,orbits", SKEW_BRACES, ids=["n=%d" % n for n, _, _ in SKEW_BRACES])
+def test_skew_brace_count(n, total, orbits):
+    assert {spec: _regular_subgroup_orbits(spec) for spec in orbits} == orbits
+    assert sum(orbits.values()) == total

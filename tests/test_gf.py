@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hgl.gf import GF, MatrixGF, make_field
+from hgl.perm import CapExceeded
 
 
 def test_f4_is_the_paper_field():
@@ -65,7 +66,7 @@ def test_frobenius_is_automorphism():
 def test_field_caps_and_errors():
     with pytest.raises(ValueError):
         make_field(4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded, match="field size 131072 exceeds cap 65536"):
         make_field(2, 17)  # 2^17 > 2^16
 
 

@@ -57,6 +57,10 @@ GOLDEN = [
      "5efab004bc2834b37fe1cb0730ae6102b3cf07effa230274becd1894a27a4e84"),
     (["a-value", "--group", "PSL(2,7)"],
      "d99ec1b3fa829a32ad8933cbd12f4e87fd49bc544460b40504f762af4a22755e"),
+    (["an-gen", "--n", "5"],
+     "40f06dfbe55a4f7810952664d911d4015bc4dad401338ca957b55b73f9398b32"),
+    (["count-hgs", "--gamma", "C9", "--g", "E(3,2)"],
+     "28c89a12d8d9109918358aa782ea521bc31ea6925f51b87bee5b80afea055e92"),
 ]
 
 

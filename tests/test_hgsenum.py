@@ -207,7 +207,7 @@ def test_count_cap_checked_before_automorphisms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("automorphisms computed before the cap check")
 
-    monkeypatch.setattr(hgsenum, "automorphism_group", refuse)
+    monkeypatch.setattr(hgsenum, "automorphism_group_of", refuse)
     monkeypatch.setattr(hgsenum, "automorphisms", refuse)
     with pytest.raises(ValueError, match="enumeration cap 60 exceeded"):
         count_hgs("E(2,6)", "E(2,6)")

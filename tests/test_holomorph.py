@@ -1,5 +1,6 @@
 import pytest
 
+from hgl import holomorph
 from hgl.catalog import build_group
 from hgl.cayley import index_group, regular_permutation_group
 from hgl.constructions import an_gen_embedding, untangle_embedding
@@ -266,8 +267,10 @@ def test_wrong_image_on_dropped_or_kept_generator_rejected(spec):
             homomorphism_map_all_generators(source, wrong, ctx.mult, ctx.identity)
 
 
-def test_embedding_map_cap():
+def test_embedding_map_cap(monkeypatch):
     ctx = hol_context(build_group("S3"))
+    monkeypatch.setattr(holomorph, "EMBEDDING_MAP_CAP", 5)
     with pytest.raises(ValueError, match="embedding map cap 5 exceeded"):
-        lambda_embedding(ctx).verify(cap=5)
-    assert lambda_embedding(ctx).verify(cap=6)["source_order"] == 6
+        lambda_embedding(ctx).verify()
+    monkeypatch.setattr(holomorph, "EMBEDDING_MAP_CAP", 6)
+    assert lambda_embedding(ctx).verify()["source_order"] == 6

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from hgl import perm as perm_module
 from hgl.catalog import build_group
 from hgl.cayley import index_group
 from hgl.perm import (
@@ -179,8 +180,9 @@ def test_nilpotency_is_memoized(monkeypatch):
     assert not s4.is_nilpotent() and c8.is_nilpotent()
     monkeypatch.setattr(PermGroup, "normal_closure", lambda *args: pytest.fail("recomputed"))
     assert not s4.is_nilpotent() and c8.is_nilpotent()
+    monkeypatch.setattr(perm_module, "SERIES_CAP", 7)
     with pytest.raises(ValueError, match="nilpotency cap 7 exceeded"):
-        c8.is_nilpotent(cap=7)
+        c8.is_nilpotent()
 
 
 def test_direct_product():

@@ -4,7 +4,8 @@ import pytest
 
 from hgl.gf import MatrixGF
 from hgl.lietables import lie_datum
-from hgl.projective import projective_group, psl3_2
+from hgl.perm import CapExceeded
+from hgl.projective import PROJECTIVE_Q_CAP, projective_group, projective_order, psl3_2
 from hgl.su42 import (
     action_on_planes,
     field4,
@@ -38,8 +39,14 @@ from hgl.su42 import (
 )
 def test_projective_orders(kind, q, order):
     group = projective_group(kind, q)
-    assert group.order() == order
+    assert group.order() == order == projective_order(kind, q)
     assert group.degree == q + 1
+
+
+def test_projective_q_cap():
+    assert projective_order("PSL2", 2**15) == 2**15 * (2**30 - 1)
+    with pytest.raises(CapExceeded, match="q=32768 exceeds cap 16384"):
+        projective_group("PSL2", 2 * PROJECTIVE_Q_CAP)
 
 
 def test_psl32():

@@ -1,7 +1,9 @@
 import pytest
 
+from hgl import structure
 from hgl.catalog import build_group
 from hgl.cayley import index_group
+from hgl.perm import PermGroup
 from hgl.structure import (
     composition_factors,
     conjugacy_classes,
@@ -83,6 +85,8 @@ def test_composition_factors_psu42():
     assert not report.is_soluble
 
 
-def test_series_cap():
+def test_series_cap(monkeypatch):
+    monkeypatch.setattr(structure, "FACTORS_CAP", 10)
+    monkeypatch.setattr(PermGroup, "is_soluble", lambda self: pytest.fail("series before the cap"))
     with pytest.raises(ValueError):
-        structure_report(build_group("A5"), factors_cap=10)
+        structure_report(build_group("A5"))
