@@ -11,6 +11,9 @@ fixed point.  States are deduplicated by their element sets, results when
 |S| = |G| (a semiregular subgroup of full order is transitive, hence regular).
 A regular subgroup is its own Cayley table: its elements, indexed by their
 image of 0, are the rows of its multiplication table (cayley.regular_table).
+The buckets of semiregular elements are cycle-tested only for the least
+point of each Aut(G)-orbit on 1..n-1; conjugation by Aut(G) carries them to
+the other points of the orbit.
 
 Aut(G) conjugation permutes the regular subgroups of Hol(G) and fixes the
 point 0, so the search breaks that symmetry at its root: every regular R has
@@ -46,7 +49,7 @@ from operator import itemgetter
 from .catalog import build_group
 from .cayley import greedy_generating_set, index_group, regular_table
 from .holomorph import HolContext, RegularEmbedding, hol_context
-from .isoaut import are_isomorphic, automorphism_group_of, automorphisms
+from .isoaut import are_isomorphic, automorphism_group, automorphisms
 from .perm import (
     CapExceeded,
     PermGroup,
@@ -90,16 +93,33 @@ class RegularSubgroupRecord:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def semiregular_element_buckets(ctx: HolContext, aut_maps):
+def semiregular_element_buckets(ctx: HolContext, aut_maps, aut: PermGroup):
     """Bucket the semiregular elements of Hol(G) by their image of 0.
 
     An element is kept iff all its cycles share one length > 1; such elements
     are exactly the fixed-point-free elements all of whose powers are
-    fixed-point-free or trivial.
+    fixed-point-free or trivial.  `aut_maps` lists Aut(G) and `aut` is Aut(G)
+    as a group.  Only the least x of each Aut(G)-orbit on 1..n-1 has [x, alpha]
+    tested for every alpha.  Conjugation by theta sends [x, alpha] to
+    [theta(x), theta alpha theta^-1] and keeps the cycle type, so a BFS over
+    the generators of `aut` fills the rest of the orbit with
+    bucket(theta(x)) = sorted(theta h theta^-1 for h in bucket(x)).
     """
-    return _bucket_semiregular(
-        (ctx.action_perm(g, alpha) for alpha in aut_maps for g in range(ctx.n)), ctx.n
-    )
+    moves = [(g.images, conjugate) for g, conjugate in zip(aut.generators, conjugators(aut))]
+    buckets = {}
+    for x in range(1, ctx.n):
+        if x in buckets:
+            continue  # x lies in the orbit of a smaller point
+        perms = (ctx.action_perm(x, alpha) for alpha in aut_maps)
+        buckets[x] = sorted(filter(is_uniform_cycle_tuple, perms))
+        queue = [x]
+        for y in queue:  # the queue grows while it is read
+            for theta, conjugate in moves:
+                z = theta[y]
+                if z not in buckets:
+                    buckets[z] = sorted(map(conjugate, buckets[y]))
+                    queue.append(z)
+    return {x: buckets[x] for x in range(1, ctx.n)}
 
 
 def _bucket_semiregular(perms, n):
@@ -269,10 +289,8 @@ def enumerate_regular_subgroups(group, budget: int = DEFAULT_BUDGET, iso_candida
     if order > ENUM_ORDER_CAP:
         raise CapExceeded("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, order))
     ctx = group if isinstance(group, HolContext) else hol_context(group)
-    aut_maps = automorphisms(ctx.group)
-    aut = automorphism_group_of(aut_maps)
-    buckets = semiregular_element_buckets(ctx, aut_maps)
-    del aut_maps  # |Aut(G)| tuples, not needed by the search (11,232 for E(3,3))
+    aut = automorphism_group(ctx.group)
+    buckets = semiregular_element_buckets(ctx, automorphisms(ctx.group), aut)
     subgroups = regular_subgroups_of_elements(buckets, ctx.n, budget=budget, symmetry=aut)
     # a candidate of another order never matches, so it is never indexed
     candidates = [(str(spec), build_group(spec)) for spec in iso_candidates]
@@ -369,11 +387,11 @@ def count_hgs(gamma, g, budget: int = DEFAULT_BUDGET) -> HgsCount:
         raise CapExceeded("enumeration cap %d exceeded: order %d" % (ENUM_ORDER_CAP, g.order()))
     ctx = hol_context(g)
     aut_g_maps = automorphisms(ctx.group)
-    aut_g = automorphism_group_of(aut_g_maps)
+    aut_g = automorphism_group(ctx.group)
     if gamma_cyclic:
         subgroup_sets = _regular_cyclic_subgroups(ctx, aut_g_maps, aut_g)
     else:
-        buckets = semiregular_element_buckets(ctx, aut_g_maps)
+        buckets = semiregular_element_buckets(ctx, aut_g_maps, aut_g)
         subgroup_sets = regular_subgroups_of_elements(
             buckets, ctx.n, budget=budget, symmetry=aut_g
         )

@@ -166,7 +166,7 @@ def conjugation_aut(ctx: HolContext, g: int):
 def hol_group(group: PermGroup) -> PermGroup:
     """Hol(G) as a permutation group of degree |G| on element indices,
     generated by the left translations and Aut(G).  Order |G| * |Aut(G)|."""
-    from .isoaut import automorphism_group
+    from .isoaut import automorphism_group, automorphism_group_order
 
     indexed = index_group(group)
     aut_group = automorphism_group(indexed)
@@ -177,7 +177,7 @@ def hol_group(group: PermGroup) -> PermGroup:
             gens.append(perm)
     gens.extend(aut_group.generators)
     result = PermGroup(gens, degree=indexed.n) if gens else PermGroup.trivial(indexed.n)
-    expected = indexed.n * aut_group.order()
+    expected = indexed.n * automorphism_group_order(indexed)
     if result.order() != expected:
         raise AssertionError(
             "Hol(G) has order %d, expected %d" % (result.order(), expected)

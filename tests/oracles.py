@@ -5,9 +5,13 @@ come from exhaustive lattice growth over explicit element lists, and the
 abelian maximum scans that lattice.  The embedding oracles check the Cayley
 edge of every element for every generator, and find the orbit of the
 identity index by a BFS over the action.  The cyclic-subgroup oracle walks
-every pair [g, alpha] of Hol(G), with no orbit reduction.  Desk scale only.
+every pair [g, alpha] of Hol(G), with no orbit reduction, and so does the
+bucket oracle.  The Aut(G) oracle keeps every leaf of the full generator-image
+backtrack that the isomorphism test runs, with no stabilizer chain.  Desk
+scale only.
 """
 
+from hgl.isoaut import _CandidateData, _Search
 from hgl.perm import tidentity, tmul
 
 
@@ -150,3 +154,35 @@ def regular_cyclic_subgroups_all_points(ctx, aut_maps):
                 power = tmul(power, perm)
             found.add(tuple(sorted(elements)))
     return sorted(found)
+
+
+def automorphisms_full_search(indexed):
+    """All automorphisms of an indexed group, as sorted index-map tuples:
+    every map of the unprefixed generator-image backtrack."""
+    data = _CandidateData(indexed)
+    return sorted(tuple(m) for m in _Search(data, data).maps())
+
+
+def semiregular_element_buckets_all_pairs(ctx, aut_maps):
+    """The action permutations of all [g, alpha] with g != 1 whose cycles
+    all have one length, bucketed by g and sorted."""
+    buckets = {g: [] for g in range(1, ctx.n)}
+    for alpha in aut_maps:
+        for g in range(1, ctx.n):
+            perm = ctx.action_perm(g, alpha)
+            lengths = set()
+            seen = set()
+            for start in range(ctx.n):
+                length = 0
+                point = start
+                while point not in seen:
+                    seen.add(point)
+                    point = perm[point]
+                    length += 1
+                if length:
+                    lengths.add(length)
+            if len(lengths) == 1:
+                buckets[g].append(perm)
+    for bucket in buckets.values():
+        bucket.sort()
+    return buckets

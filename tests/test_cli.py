@@ -38,6 +38,14 @@ def test_cap_refusal_exit_4(capsys):
     assert code == 1
 
 
+def test_aut_listing_cap_refused_before_listing(capsys):
+    # cyclic Gamma skips the enumeration cap, and |Aut(E(2,6))| = |GL(6,2)|
+    # is over the element-list cap: the chain's order refuses at once
+    code, out = run_cli(capsys, "--budget", "1000", "count-hgs", "--gamma", "C64", "--g", "E(2,6)")
+    assert code == 4
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["a-value", "structure"])
 def test_s9_refused_by_a_cap(capsys, command):
     # |S9| = 362880 is over the abelian-search and composition-factor caps

@@ -61,6 +61,16 @@ GOLDEN = [
      "40f06dfbe55a4f7810952664d911d4015bc4dad401338ca957b55b73f9398b32"),
     (["count-hgs", "--gamma", "C9", "--g", "E(3,2)"],
      "28c89a12d8d9109918358aa782ea521bc31ea6925f51b87bee5b80afea055e92"),
+    (["enumerate-regular", "--g", "E(3,3)"],
+     "c2bc2a0804175a4cc211a318c4b6724b06c10a37929864f6be2ff0ebc5872427"),
+    (["count-hgs", "--gamma", "C27", "--g", "E(3,3)"],
+     "04414344e43ad9ed4a9c559ef798c740fede5c4d614371ce6814eba3d99b6927"),
+    (["count-hgs", "--gamma", "E(5,2)", "--g", "E(5,2)"],
+     "06124e0bc5c9560d7d4091c08bba90a816f641d9e1f02d8b7133f09b39c7c0bd"),
+    (["count-hgs", "--gamma", "A5", "--g", "A5"],
+     "5a8213cb49d73ba7c42cac9b89d1937b40377c492e4df5b8215a625c5d0e237b"),
+    (["enumerate-regular", "--g", "C2xC2xC4"],
+     "9e607d9884d26a403e48d968b1bf67707ffff8b763efb3edfba39481829c37b4"),
 ]
 
 

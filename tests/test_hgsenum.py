@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgl import hgsenum
+from hgl import hgsenum, isoaut
 from hgl.catalog import build_group
 from hgl.cayley import regular_table
 from hgl.cli import main
@@ -18,10 +18,15 @@ from hgl.hgsenum import (
     semiregular_element_buckets,
 )
 from hgl.holomorph import RegularEmbedding, hol_context, hol_group, lambda_embedding
-from hgl.isoaut import are_isomorphic, automorphism_group
+from hgl.isoaut import are_isomorphic, automorphism_group, automorphisms
 from hgl.perm import Permutation, PermGroup, tmul
 
-from oracles import regular_cyclic_subgroups_all_points, regular_subgroups_brute
+from oracles import (
+    automorphisms_full_search,
+    regular_cyclic_subgroups_all_points,
+    regular_subgroups_brute,
+    semiregular_element_buckets_all_pairs,
+)
 
 
 def test_hol_c2_single_subgroup():
@@ -84,7 +89,7 @@ CATALOG_UP_TO_24 = [
 def _hol_search_input(spec):
     ctx = hol_context(build_group(spec))
     aut = automorphism_group(ctx.group)
-    return semiregular_element_buckets(ctx, [g.images for g in aut.elements()]), ctx.n, aut
+    return semiregular_element_buckets(ctx, [g.images for g in aut.elements()], aut), ctx.n, aut
 
 
 @pytest.mark.parametrize("spec", CATALOG_UP_TO_24)
@@ -94,6 +99,18 @@ def test_root_orbit_reduction_matches_unreduced_search(spec):
     buckets, n, aut = _hol_search_input(spec)
     reduced = regular_subgroups_of_elements(buckets, n, symmetry=aut)
     assert reduced == regular_subgroups_of_elements(buckets, n)
+
+
+@pytest.mark.parametrize("spec", CATALOG_UP_TO_24 + ["E(3,3)", "E(5,2)", "S3xS3", "A5"])
+def test_chain_listing_and_conjugated_buckets_match_full_builds(spec):
+    # differential test: Aut(G) from the base-image chain against every leaf
+    # of the full backtrack, and the buckets filled by conjugation against
+    # the cycle test of every [g, alpha]
+    ctx = hol_context(build_group(spec))
+    aut_maps = automorphisms(ctx.group)
+    assert aut_maps == automorphisms_full_search(ctx.group)
+    buckets = semiregular_element_buckets(ctx, aut_maps, automorphism_group(ctx.group))
+    assert buckets == semiregular_element_buckets_all_pairs(ctx, aut_maps)
 
 
 @pytest.mark.parametrize("spec", ["C9", "C16", "C25", "C27", "C49", "C81", "E(2,2)", "E(2,3)",
@@ -207,7 +224,9 @@ def test_count_cap_checked_before_automorphisms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("automorphisms computed before the cap check")
 
-    monkeypatch.setattr(hgsenum, "automorphism_group_of", refuse)
+    # every Aut(G) search builds an isoaut._AutomorphismChain
+    monkeypatch.setattr(isoaut, "_AutomorphismChain", refuse)
+    monkeypatch.setattr(hgsenum, "automorphism_group", refuse)
     monkeypatch.setattr(hgsenum, "automorphisms", refuse)
     with pytest.raises(ValueError, match="enumeration cap 60 exceeded"):
         count_hgs("E(2,6)", "E(2,6)")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hgl.catalog import build_group
@@ -6,6 +8,7 @@ from hgl import isoaut
 from hgl.isoaut import (
     are_isomorphic,
     automorphism_group,
+    automorphism_group_order,
     automorphisms,
     inner_automorphism_group,
 )
@@ -65,6 +68,16 @@ def test_non_isomorphic_same_order():
 def test_automorphism_orders():
     for spec, order in [("C4", 2), ("S3", 6), ("E(2,2)", 6), ("C9", 6), ("D8", 8), ("C12", 4)]:
         assert automorphism_group(build_group(spec)).order() == order, spec
+
+
+@pytest.mark.parametrize("p, n, order", [
+    (2, 5, 9_999_360), (2, 6, 20_158_709_760), (3, 4, 24_261_120), (5, 3, 1_488_000),
+])
+def test_elementary_abelian_aut_order_is_gl(p, n, order):
+    # |Aut(E(p,n))| = |GL(n,p)| = prod (p^n - p^i), read off the chain's orbit
+    # lengths with nothing listed
+    assert order == math.prod(p**n - p**i for i in range(n))
+    assert automorphism_group_order(build_group("E(%d,%d)" % (p, n))) == order
 
 
 def test_every_automorphism_respects_table():
